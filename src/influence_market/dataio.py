@@ -69,8 +69,9 @@ def load_csv_with_stats(path, schema: DatasetSchema):
     """Load a CSV per the schema; returns (dataset, standardization | None).
 
     The header row is required. Rows with missing cells are dropped or
-    rejected per the schema's NA policy; any other non-numeric cell raises
-    NonNumericCell with its coordinates. Row order is preserved.
+    rejected per the schema's NA policy; any other non-numeric or non-finite
+    cell (such as ``inf``) raises NonNumericCell with its coordinates, before
+    any standardization. Row order is preserved.
     """
     try:
         with open(path, newline="") as fh:
@@ -95,6 +96,7 @@ def load_csv_with_stats(path, schema: DatasetSchema):
 
     features = []
     targets = []
+    row_numbers = []
     for row_number, row in enumerate(rows[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
@@ -129,10 +131,21 @@ def load_csv_with_stats(path, schema: DatasetSchema):
                 column=schema.target_column,
             )
         targets.append(float(cells[target_idx]))
+        row_numbers.append(row_number)
     if not features:
         raise EmptyAfterFiltering(f"no usable rows left in {path}")
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
+    finite = np.isfinite(np.column_stack([X, y]))
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        name = header[(keep + [target_idx])[col]]
+        value = float(X[row, col] if col < len(keep) else y[row])
+        raise NonNumericCell(
+            f"non-finite cell {str(value)!r} at row {row_numbers[row]}, column {name!r}",
+            row=row_numbers[row],
+            column=name,
+        )
     stats = None
     if schema.standardize:
         mean = X.mean(axis=0)

@@ -2,15 +2,27 @@
 Influence of a training point on a test set, computed three ways.
 
 * exact: leave the point out, refit, and difference the test risks. The
-  production path refits through a Sherman-Morrison rank-one downdate of the
-  cached Gram inverse (O(d^2) per point); a naive full refit per point is kept
-  for validation and benchmarking.
+  production path moves the parameters by a Sherman-Morrison rank-one
+  downdate of the cached Gram inverse, which is Cook's (1977) closed-form
+  leave-one-out through the leverage h_j (O(d^2) per point); a naive full
+  refit per point is kept for validation and benchmarking.
 * first order: (1/n) grad_test.T H^{-1} grad_point, averaged over the test
   set. Sums to zero over the training set because the fit is stationary.
 * second order: adds the (1/n^2) H^{-1} H_point H^{-1} grad term to the
   parameter shift and the quadratic term to the test-loss expansion. For
   squared loss the test expansion is exact in the shift, so all remaining
   error comes from the shift itself.
+
+Every exact and second-order price goes through one kernel,
+:func:`risk_change`. Squared loss makes the test risk quadratic in the
+parameters, so moving them by a shift delta changes it by exactly
+gbar . delta + delta.T S delta, where gbar is the mean test-loss gradient at
+the fitted parameters and S = T~.T T~ / n_test the test second moment. The
+kernel scores every column of a shift matrix at once in O(d^2) per column,
+whatever n_test is, and never forms the n_test x n projection of the test
+set onto the shifts. gbar is computed from the test residuals, not from
+moments: the moment form of the risk, theta.T S theta - 2 theta.T c + E[y^2],
+cancels catastrophically when the risk is small against E[y^2].
 
 Positive influence means the point was helpful: removing it raises test risk.
 """
@@ -33,7 +45,6 @@ from .regression import (
     point_hessian,
     residuals,
     risk,
-    risk_of_vector,
 )
 
 
@@ -69,25 +80,55 @@ def _mean_test_gradient(model: FittedModel, test: Dataset) -> np.ndarray:
     return -2.0 * (aug.T @ res) / len(test)
 
 
-def _test_risk_change(model: FittedModel, test: Dataset, shift: np.ndarray) -> float:
-    """Exact change in test risk when the parameters move by ``shift``.
+def _second_moment(test: Dataset) -> np.ndarray:
+    """Test second moment S = T~.T T~ / n_test in augmented space."""
+    aug = test.augmented()
+    return (aug.T @ aug) / len(test)
 
-    For squared loss the second-order Taylor expansion of the test loss is the
-    loss itself, so this equals the per-test-point expansion
-    (grad + 0.5 * H_test @ shift) . shift averaged over the test set.
+
+def risk_change(gbar: np.ndarray, second_moment: np.ndarray, shifts: np.ndarray):
+    """Exact change in test risk when the parameters move by ``shifts``.
+
+    ``shifts`` is one augmented shift vector or a matrix whose columns are
+    shifts; the result is gbar . D + colsum(D * (S @ D)), a scalar or one
+    value per column. For squared loss this equals the per-test-point
+    expansion (grad + 0.5 * H_test @ shift) . shift averaged over the test
+    set, with no truncation error.
     """
-    gbar = _mean_test_gradient(model, test)
-    proj = test.augmented() @ shift
-    return float(gbar @ shift + np.mean(proj * proj))
+    return gbar @ shifts + np.sum(shifts * (second_moment @ shifts), axis=0)
 
 
-def _leave_one_out_vector(model: FittedModel, x_aug: np.ndarray, resid: float) -> np.ndarray:
-    """Augmented parameters after removing one point, via rank-one downdate."""
-    u = model.gram_inverse @ x_aug
-    h = float(x_aug @ u)
-    if 1.0 - h <= 1e-12:
-        raise SingularDesign("leave-one-out Gram matrix is singular for this point")
-    return model.params.as_vector() - u * (resid / (1.0 - h))
+def _rank_one_shifts(
+    model: FittedModel,
+    aug: np.ndarray,
+    res: np.ndarray,
+    method: str,
+    added: bool = False,
+) -> np.ndarray:
+    """Parameter shift, as one column per row of ``aug``, from removing each
+    row from the model's training set (or adding it, when ``added``).
+
+    ``res`` holds the rows' residuals under the model. With
+    u_j = G^{-1} x~_j, residual r_j and leverage h_j = x~_j . u_j, the
+    exact removal shift is -u_j r_j / (1 - h_j) and the exact addition shift
+    u_j r_j / (1 + h_j) (Sherman-Morrison). ``method="first-order"`` keeps
+    only the step -u_j r_j, the (1/n) H^{-1} grad term; ``"second-order"``
+    adds the (1/n^2) H^{-1} H_j H^{-1} grad term, giving -u_j r_j (1 + h_j).
+    Addition flips the up-weight sign, which negates the linear term and
+    keeps the quadratic one: u_j r_j (1 - h_j).
+    """
+    sign = 1.0 if added else -1.0
+    U = aug @ model.gram_inverse
+    hat = np.einsum("ij,ij->i", U, aug)
+    steps = U.T * (sign * res)
+    if method == "first-order":
+        return steps
+    if method == "second-order":
+        return steps * (1.0 - sign * hat)
+    denom = 1.0 + sign * hat
+    if np.any(denom <= 1e-12):
+        raise SingularDesign("leave-one-out Gram matrix is singular for some point")
+    return steps / denom
 
 
 def exact_influence(
@@ -111,18 +152,14 @@ def exact_influence(
         raise SingularDesign(
             f"need at least d + 2 = {train.dimension + 2} points for leave-one-out"
         )
+    if method == "downdate":
+        return float(exact_influences(train, test, model=model, indices=[j], ridge=ridge)[0])
+    if method != "refit":
+        raise ValueError(f"unknown method {method!r}")
     if model is None:
         model = fit(train, ridge=ridge)
-    base_risk = risk(test, model.params)
-    if method == "refit":
-        loo = fit(train.without_index(j), ridge=model.ridge)
-        return risk(test, loo.params) - base_risk
-    if method != "downdate":
-        raise ValueError(f"unknown method {method!r}")
-    x_aug = np.concatenate([train.X[j], [1.0]])
-    resid = float(train.y[j] - model.params.predict(train.X[j : j + 1])[0])
-    theta_loo = _leave_one_out_vector(model, x_aug, resid)
-    return risk_of_vector(test, theta_loo) - base_risk
+    loo = fit(train.without_index(j), ridge=model.ridge)
+    return risk(test, loo.params) - risk(test, model.params)
 
 
 def exact_influences(
@@ -144,22 +181,12 @@ def exact_influences(
         raise SingularDesign(
             f"need at least d + 2 = {train.dimension + 2} points for leave-one-out"
         )
-    aug = train.augmented()
-    res = residuals(train, model.params)
+    aug, res = train.augmented(), residuals(train, model.params)
     if indices is not None:
         idx = np.asarray(indices, dtype=np.int64)
-        aug = aug[idx]
-        res = res[idx]
-    U = aug @ model.gram_inverse
-    hat = np.einsum("ij,ij->i", U, aug)
-    denom = 1.0 - hat
-    if np.any(denom <= 1e-12):
-        raise SingularDesign("leave-one-out Gram matrix is singular for some point")
-    # shift_j = theta_loo - theta = -u_j * resid_j / (1 - h_j), columns of D
-    D = U.T * (-(res / denom))
-    gbar = _mean_test_gradient(model, test)
-    proj = test.augmented() @ D
-    return gbar @ D + np.mean(proj * proj, axis=0)
+        aug, res = aug[idx], res[idx]
+    shifts = _rank_one_shifts(model, aug, res, "exact")
+    return risk_change(_mean_test_gradient(model, test), _second_moment(test), shifts)
 
 
 def first_order_influence(model: FittedModel, z_j: DataPoint, test: Dataset) -> float:
@@ -170,12 +197,11 @@ def first_order_influence(model: FittedModel, z_j: DataPoint, test: Dataset) -> 
 
 
 def first_order_influences(model: FittedModel, points: Dataset, test: Dataset) -> np.ndarray:
-    """First-order influence of each point in ``points``, vectorized."""
-    aug = points.augmented()
+    """First-order influence of each point in ``points``, vectorized: the
+    linear term of the risk change at the one-term shift."""
     res = residuals(points, model.params)
-    grads = -2.0 * aug * res[:, None]
-    gbar = _mean_test_gradient(model, test)
-    return (grads @ model.hessian_inverse_dot(gbar)) / model.n_train
+    shifts = _rank_one_shifts(model, points.augmented(), res, "first-order")
+    return _mean_test_gradient(model, test) @ shifts
 
 
 def second_order_param_shift(model: FittedModel, z_j: DataPoint) -> np.ndarray:
@@ -205,23 +231,15 @@ def second_order_influence(
     """
     if shift is None:
         shift = second_order_param_shift(model, z_j)
-    return _test_risk_change(model, test, shift)
+    gbar = _mean_test_gradient(model, test)
+    return float(risk_change(gbar, _second_moment(test), np.asarray(shift, dtype=np.float64)))
 
 
 def second_order_influences(model: FittedModel, points: Dataset, test: Dataset) -> np.ndarray:
     """Second-order influence of each point in ``points``, vectorized."""
-    n = model.n_train
-    aug = points.augmented()
     res = residuals(points, model.params)
-    grads = -2.0 * aug * res[:, None]
-    first = (n / 2.0) * (grads @ model.gram_inverse) / n
-    # H_j @ v = 2 * x~ (x~ . v); add (1/n) H^{-1} of that to the first term.
-    dots = np.einsum("ij,ij->i", aug, first)
-    second = (n / 2.0) * ((2.0 * aug * dots[:, None]) @ model.gram_inverse) / n
-    shifts = first + second
-    gbar = _mean_test_gradient(model, test)
-    proj = test.augmented() @ shifts.T
-    return shifts @ gbar + np.mean(proj * proj, axis=0)
+    shifts = _rank_one_shifts(model, points.augmented(), res, "second-order")
+    return risk_change(_mean_test_gradient(model, test), _second_moment(test), shifts)
 
 
 def influence_records(

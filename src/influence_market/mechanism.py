@@ -5,7 +5,17 @@ closed-form score normalization, and the resulting payment ledger.
 
 The batch loop is inherently sequential; scoring inside one batch is
 independent across points and reuses a single fitted model per batch, so the
-Hessian inverse is computed once per batch.
+Hessian inverse is computed once per batch. The run keeps the sufficient
+statistics of everything absorbed so far, the augmented Gram matrix
+G += B~.T B~ and moment m += B~.T y_B, where B~ is the batch's slice of the
+stream's augmented matrix; no Dataset is built per batch. Each batch
+re-solves the exactly accumulated G instead of chaining Woodbury updates of
+G^{-1}, which drift over thousands of steps. Exclusive mode scores against
+the previous batch's post-batch model, so every batch costs one solve. The
+test set is summarized once per run by its second moment S; each batch's
+test residuals give both the risk trace and the mean test gradient of the
+risk-change kernel (see the influence module), because the moment form of
+the risk cancels catastrophically when the risk is small.
 """
 
 from __future__ import annotations
@@ -16,15 +26,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, EmptyStream, InsufficientInitialization
-from .influence import (
-    _mean_test_gradient,
-    exact_influences,
-    first_order_influences,
-    second_order_influences,
-)
-from .mixture import MixtureParams, correction_exclusive, correction_inclusive
-from .regression import Dataset, FittedModel, fit, residuals, risk
+from .errors import DimensionMismatch, DomainError, EmptyStream, InsufficientInitialization
+from .influence import _rank_one_shifts, _second_moment, risk_change
+from .mixture import MixtureParams, correction_exclusive, correction_inclusive, total_risk_change
+from .regression import Dataset, FittedModel, _solve_normal_equations, fit
 
 MODES = ("inclusive", "exclusive")
 NORMALIZATIONS = ("none", "closed-form-D")
@@ -198,71 +203,30 @@ def initialize_model(
     return Dataset(X, y, ids, arrival)
 
 
-def _addition_influences(model: FittedModel, batch: Dataset, test: Dataset) -> np.ndarray:
-    """Exact as-if-added influence of each batch point against ``model``.
-
-    risk(test, current) - risk(test, current + point), via rank-one update of
-    the Gram inverse. Positive means adding the point lowers test risk.
-    """
-    aug = batch.augmented()
-    res = residuals(batch, model.params)
-    U = aug @ model.gram_inverse
-    hat = np.einsum("ij,ij->i", U, aug)
-    shifts = U.T * (res / (1.0 + hat))
-    gbar = _mean_test_gradient(model, test)
-    proj = test.augmented() @ shifts
-    return -(gbar @ shifts + np.mean(proj * proj, axis=0))
-
-
-def _approx_addition_influences(
-    model: FittedModel, batch: Dataset, test: Dataset, order: str
-) -> np.ndarray:
-    """As-if-added influence approximated by negating the removal formulas
-    evaluated against the pre-batch model."""
-    if order == "first-order":
-        return first_order_influences(model, batch, test)
-    # Addition is removal with the up-weight sign flipped: the linear shift
-    # term negates while the quadratic term keeps its sign. Expand the test
-    # loss at that shift and negate the change.
-    aug = batch.augmented()
-    res = residuals(batch, model.params)
-    grads = -2.0 * aug * res[:, None]
-    # 0.5 * Ginv @ g is (1/n) H^{-1} g, the first removal-shift term.
-    first = 0.5 * (grads @ model.gram_inverse)
-    dots = np.einsum("ij,ij->i", aug, first)
-    second = 0.5 * ((2.0 * aug * dots[:, None]) @ model.gram_inverse)
-    shifts = -first + second
-    gbar = _mean_test_gradient(model, test)
-    proj = test.augmented() @ shifts.T
-    return -(shifts @ gbar + np.mean(proj * proj, axis=0))
-
-
-def _score_batch(
-    accumulated: Dataset,
-    batch: Dataset,
-    test: Dataset,
+def _batch_influences(
+    model: FittedModel,
+    rows: np.ndarray,
+    targets: np.ndarray,
+    gbar: np.ndarray,
+    second_moment: np.ndarray,
     config: MechanismConfig,
-):
-    """Score one batch; returns (raw influences, post-batch model)."""
-    if config.mode == "inclusive":
-        combined = accumulated.extended(batch)
-        model = fit(combined, ridge=config.ridge)
-        idx = np.arange(len(accumulated), len(combined))
-        if config.influence_method == "exact":
-            raw = exact_influences(combined, test, model=model, indices=idx)
-        elif config.influence_method == "first-order":
-            raw = first_order_influences(model, batch, test)
-        else:
-            raw = second_order_influences(model, batch, test)
-        return raw, model
-    # exclusive: score against the pre-batch model, as if each point were added
-    model_prev = fit(accumulated, ridge=config.ridge)
-    if config.influence_method == "exact":
-        raw = _addition_influences(model_prev, batch, test)
+) -> np.ndarray:
+    """Raw influence of each batch row (augmented) against ``model``.
+
+    Inclusive mode: ``model`` includes the batch and each row is scored as if
+    removed. Exclusive mode: ``model`` is the pre-batch model and each row is
+    scored as if added, risk(test, model) - risk(test, model + row), so
+    positive means adding the row lowers test risk. ``gbar`` is the mean
+    test-loss gradient at ``model``.
+    """
+    added = config.mode == "exclusive"
+    res = targets - rows @ model.params.as_vector()
+    shifts = _rank_one_shifts(model, rows, res, config.influence_method, added)
+    if config.influence_method == "first-order":
+        change = gbar @ shifts
     else:
-        raw = _approx_addition_influences(model_prev, batch, test, config.influence_method)
-    post_model = fit(accumulated.extended(batch), ridge=config.ridge)
-    return raw, post_model
+        change = risk_change(gbar, second_moment, shifts)
+    return -change if added else change
 
 
 def run_mechanism(
@@ -276,10 +240,12 @@ def run_mechanism(
 
     The stream is processed in arrival order in batches of
     ``config.batch_size`` (the final batch may be smaller and is scored with
-    its actual size). Inclusive mode refits on accumulated + batch and scores
-    each batch point as-if-removed; exclusive mode fits on accumulated only
-    and scores as-if-added. With closed-form normalization each raw score is
-    divided by the correction ratio for this run's counts and the batch's
+    its actual size). Inclusive mode scores each batch point as-if-removed
+    from the model fitted on accumulated + batch; exclusive mode scores it
+    as-if-added to the model fitted on accumulated only, which is the
+    previous batch's post-batch model. With closed-form normalization each
+    raw score is divided by the correction ratio for this run's counts (the
+    initialization's actual size and the stream length) and the batch's
     actual size. Deterministic given (stream, config, seed).
 
     Parameters
@@ -293,6 +259,7 @@ def run_mechanism(
         Seeds the uniform initialization (ignored when ``init`` is given).
     init : Dataset, optional
         Pre-built initialization set; defaults to uniform sampling per config.
+        Its arrival indices must be disjoint from the stream's.
     """
     if len(stream) == 0:
         raise EmptyStream("the report stream is empty")
@@ -306,23 +273,46 @@ def run_mechanism(
             seed=seed,
             dimension=stream.dimension,
         )
-    ledger = PaymentLedger(config=config)
-    model0 = fit(init, ridge=config.ridge)
-    ledger.risk_trace.append(risk(test, model0.params))
+    if init.dimension != stream.dimension or test.dimension != stream.dimension:
+        raise DimensionMismatch(
+            f"init, stream and test dimensions differ: "
+            f"{init.dimension}, {stream.dimension}, {test.dimension}"
+        )
+    if np.intersect1d(init.arrival_index, stream.arrival_index).size:
+        raise ValueError("init and stream share arrival_index values")
+    model = fit(init, ridge=config.ridge)
+    init_rows = init.augmented()
+    gram = init_rows.T @ init_rows
+    moment = init_rows.T @ init.y
+    test_rows = test.augmented()
+    second_moment = _second_moment(test)
 
+    def test_risk_and_gradient(model: FittedModel):
+        res = test.y - test_rows @ model.params.as_vector()
+        return float(res @ res) / len(test), (-2.0 / len(test)) * (test_rows.T @ res)
+
+    ledger = PaymentLedger(config=config)
+    risk_now, gbar = test_risk_and_gradient(model)
+    ledger.risk_trace.append(risk_now)
+
+    rows, targets = stream.augmented(), stream.y
     n_total = len(stream)
-    accumulated = init
     b = config.batch_size
-    n_batches = (n_total + b - 1) // b
-    for k in range(1, n_batches + 1):
-        batch = stream.subset(np.arange((k - 1) * b, min(k * b, n_total)))
-        raw, post_model = _score_batch(accumulated, batch, test, config)
-        if config.normalization == "closed-form-D":
-            mp = MixtureParams(
-                init_count=config.init_count,
-                n_collected=n_total,
-                batch_size=len(batch),
+    for k, lo in enumerate(range(0, n_total, b), start=1):
+        hi = min(lo + b, n_total)
+        batch_rows, batch_targets = rows[lo:hi], targets[lo:hi]
+        gram += batch_rows.T @ batch_rows
+        moment += batch_rows.T @ batch_targets
+        post = _solve_normal_equations(gram, moment, len(init) + hi, config.ridge)
+        risk_now, gbar_post = test_risk_and_gradient(post)
+        if config.mode == "inclusive":
+            raw = _batch_influences(
+                post, batch_rows, batch_targets, gbar_post, second_moment, config
             )
+        else:
+            raw = _batch_influences(model, batch_rows, batch_targets, gbar, second_moment, config)
+        if config.normalization == "closed-form-D":
+            mp = MixtureParams(init_count=len(init), n_collected=n_total, batch_size=hi - lo)
             factor = (
                 correction_inclusive(mp)
                 if config.mode == "inclusive"
@@ -330,19 +320,19 @@ def run_mechanism(
             )
         else:
             factor = 1.0
-        for i in range(len(batch)):
-            corrected = float(raw[i]) / factor
+        for agent_id, value in zip(stream.agent_ids[lo:hi], raw.tolist()):
+            corrected = value / factor
             ledger.entries.append(
                 LedgerEntry(
-                    agent_id=batch.agent_ids[i],
+                    agent_id=agent_id,
                     batch_index=k,
-                    raw_influence=float(raw[i]),
+                    raw_influence=value,
                     corrected_score=corrected,
                     payment=config.payment_scale * corrected,
                 )
             )
-        accumulated = accumulated.extended(batch)
-        ledger.risk_trace.append(risk(test, post_model.params))
+        ledger.risk_trace.append(risk_now)
+        model, gbar = post, gbar_post
     return ledger
 
 
@@ -352,7 +342,11 @@ def budget_estimate(init_count: int, n: int, r_estimate: float, alpha: float) ->
     alpha times the closed-form total risk change for ``n`` collected points
     on top of ``init_count`` initialization points, with ``r_estimate`` the
     assumed squared model gap between initialization and reports.
+
+    Raises
+    ------
+    DomainError
+        If a count or ``r_estimate`` is negative.
     """
-    if n == 0:
-        return 0.0
-    return alpha * r_estimate * n * (2.0 * init_count + n) / (init_count + n) ** 2
+    params = MixtureParams(init_count=init_count, n_collected=n, model_gap=r_estimate)
+    return alpha * total_risk_change(params)

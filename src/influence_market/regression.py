@@ -7,6 +7,12 @@ derivative quantities live in the augmented space of dimension d + 1, where a
 feature vector x is extended to x~ = [x, 1] so the bias is an ordinary
 coordinate. Fitting is done by normal equations through a Cholesky
 factorization; there is no iterative training anywhere in this package.
+
+For squared loss a fit depends on the data only through the augmented Gram
+matrix X~.T X~ and the moment vector X~.T y. ``fit`` forms both from a
+Dataset and hands them to one private solver, which the sequential mechanism
+also calls on Gram and moment sums it accumulates batch by batch, so neither
+the accumulated data nor a Dataset holding it is ever rebuilt.
 """
 
 from __future__ import annotations
@@ -312,18 +318,31 @@ def fit(data: Dataset, ridge: float = 0.0) -> FittedModel:
             f"need at least d + 1 = {d + 1} points to fit in augmented dimension, got {n}"
         )
     aug = data.augmented()
-    gram = aug.T @ aug
+    return _solve_normal_equations(aug.T @ aug, aug.T @ data.y, n, ridge)
+
+
+def _solve_normal_equations(
+    gram: np.ndarray, moment: np.ndarray, n: int, ridge: float
+) -> FittedModel:
+    """Fitted model from the sufficient statistics of n training points.
+
+    ``gram`` is the unpenalized augmented Gram matrix X~.T X~ and ``moment``
+    the vector X~.T y; ridge is added to the Gram diagonal here. Raises
+    SingularDesign as :func:`fit` documents.
+    """
+    eye = np.eye(gram.shape[0])
     if ridge:
-        gram = gram + ridge * np.eye(d + 1)
-    moment = aug.T @ data.y
+        gram = gram + ridge * eye
     try:
         chol_gram = np.linalg.cholesky(gram)
-        theta = np.linalg.solve(gram, moment)
+        # One solve gives the parameters (first column) and the Gram inverse.
+        solution = np.linalg.solve(gram, np.column_stack([moment, eye]))
     except np.linalg.LinAlgError as exc:
         raise SingularDesign(
             "augmented Gram matrix is not invertible"
             + ("" if ridge else "; supply ridge > 0 for collinear designs")
         ) from exc
+    theta, gram_inverse = solution[:, 0], solution[:, 1:]
 
     # Optimality certificate: gradient of the fitted objective at theta,
     # relative to the gradient at the zero parameter vector.
@@ -335,10 +354,6 @@ def fit(data: Dataset, ridge: float = 0.0) -> FittedModel:
             "normal-equation solve failed the optimality certificate; "
             "the design is too ill-conditioned (supply ridge > 0)"
         )
-    try:
-        gram_inverse = np.linalg.solve(gram, np.eye(d + 1))
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesign("augmented Gram matrix is not invertible") from exc
     hess_factor = np.sqrt(2.0 / n) * chol_gram
     return FittedModel(
         params=Parameters.from_vector(theta),
@@ -400,18 +415,8 @@ def empirical_hessian(data: Dataset) -> np.ndarray:
     return (2.0 / len(data)) * (aug.T @ aug)
 
 
-# Array-level helpers shared by the influence and mechanism modules. These
-# work on augmented matrices directly to keep per-point loops out of Python.
-
-
 def residuals(data: Dataset, params: Parameters) -> np.ndarray:
+    """Per-point residuals y - (w @ x + b) of a dataset."""
     _check_params_dim(params, data.dimension)
     return data.y - data.X @ params.weights - params.bias
 
-
-def risk_of_vector(data: Dataset, theta: np.ndarray) -> float:
-    """Mean squared residual for an augmented parameter vector."""
-    if len(data) == 0:
-        raise EmptyDataset("risk of an empty dataset is undefined")
-    res = data.y - data.augmented() @ theta
-    return float(np.mean(res * res))

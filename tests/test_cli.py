@@ -60,6 +60,22 @@ class TestApproxError:
         rows = read_results(tmp_path / "approx_error.csv")
         assert len(rows) == 2
 
+    def test_non_finite_cell_exits_with_one_error_line(self, tmp_path, capsys):
+        lines = ["a,b,target"] + [f"{i}.0,{i % 7}.5,{i % 3}.0" for i in range(60)]
+        lines[17] = "16.0,inf,1.0"
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("\n".join(lines) + "\n")
+        schema_path = tmp_path / "data.schema"
+        schema_path.write_text("name=custom\ntarget_column=target\nstandardize=true\n")
+        code = run(
+            "approx-error", "--dataset", csv_path, "--schema", schema_path,
+            "--n-train", 30, "--n-test", 10, "--out-dir", tmp_path,
+        )
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "row 18" in err[0] and "'b'" in err[0]
+
     def test_builtin_needs_data_file(self, tmp_path, capsys):
         code = run("approx-error", "--dataset", "red-wine", "--out-dir", tmp_path)
         assert code != 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,25 @@ class TestLoadCsv:
             load_csv(path, schema)
         assert err.value.row == 2
         assert err.value.column == "b"
+
+    @pytest.mark.parametrize(
+        "text, row, column",
+        [
+            ("a,b,target\n1.0,2.0,3.0\n4.0,inf,5.0\n", 3, "b"),
+            ("a,b,target\n1.0,2.0,-Infinity\n4.0,5.0,6.0\n", 2, "target"),
+            ("a,b,target\n1.0,2.0,3.0\n1e400,5.0,6.0\n", 3, "a"),
+        ],
+    )
+    def test_non_finite_cell_rejected_before_standardizing(self, tmp_path, text, row, column):
+        path = write_file(tmp_path / "t.csv", text)
+        schema = DatasetSchema(name="t", target_column="target", standardize=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonNumericCell) as err:
+                load_csv_with_stats(path, schema)
+        assert err.value.row == row
+        assert err.value.column == column
+        assert "non-finite" in str(err.value)
 
     def test_missing_target_column(self, tmp_path):
         path = write_file(tmp_path / "t.csv", "a,b\n1,2\n")

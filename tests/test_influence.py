@@ -3,6 +3,7 @@ import pytest
 
 from influence_market import (
     Dataset,
+    DimensionMismatch,
     IndexOutOfRange,
     SingularDesign,
     approximation_errors,
@@ -88,6 +89,20 @@ class TestExactInfluence:
         test = Dataset(X, y)
         with pytest.raises(SingularDesign):
             exact_influence(Dataset(X, y), 0, test)
+
+    @pytest.mark.parametrize("wrong", ["points", "test"])
+    def test_plural_kernels_reject_other_dimension(self, wrong):
+        train, test = make_case(5)
+        model = fit(train)
+        other_train, other_test = make_case(6, d=3)
+        points = other_train if wrong == "points" else train
+        test = other_test if wrong == "test" else test
+        with pytest.raises(DimensionMismatch):
+            exact_influences(points, test, model=model)
+        with pytest.raises(DimensionMismatch):
+            first_order_influences(model, points, test)
+        with pytest.raises(DimensionMismatch):
+            second_order_influences(model, points, test)
 
 
 class TestFirstOrder:

@@ -3,6 +3,7 @@ import pytest
 
 from influence_market import (
     Dataset,
+    DimensionMismatch,
     DomainError,
     EmptyStream,
     InsufficientInitialization,
@@ -125,6 +126,18 @@ class TestLedger:
         for e in ledger.entries:
             assert e.corrected_score == pytest.approx(e.raw_influence / factor, rel=1e-12)
 
+    def test_normalization_counts_the_given_init(self):
+        # an explicit init of 100 points overrides config.init_count = 20
+        world, stream, test = world_and_data(13, n_stream=200)
+        init = initialize_model(100, world.x_bounds, world.heuristic_y_bounds, seed=4)
+        config = config_for(world, batch_size=10, normalization="closed-form-D")
+        ledger = run_mechanism(stream, test, config, init=init)
+        factor = correction_inclusive(MixtureParams(init_count=100, n_collected=200,
+                                                    batch_size=10))
+        assert factor == pytest.approx(0.897, abs=5e-4)
+        for e in ledger.entries:
+            assert e.corrected_score == pytest.approx(e.raw_influence / factor, rel=1e-12)
+
     def test_determinism(self):
         world, stream, test = world_and_data(15)
         config = config_for(world, batch_size=11)
@@ -208,6 +221,22 @@ class TestGuards:
         empty = Dataset(np.empty((0, 1)), np.empty(0))
         with pytest.raises(EmptyStream):
             run_mechanism(empty, test, config_for(world), seed=0)
+
+    def test_init_sharing_arrival_indices_with_stream(self):
+        world, stream, test = world_and_data(31)
+        init = Dataset(np.array([[0.1], [0.5], [-0.3]]), np.array([1.0, 2.0, 0.5]),
+                       arrival_index=[-1, 5, -2])
+        with pytest.raises(ValueError, match="arrival_index"):
+            run_mechanism(stream, test, config_for(world), init=init)
+
+    def test_dimension_mismatch(self):
+        world, stream, test = world_and_data(32)
+        wide_test = Dataset(np.zeros((4, 2)), np.zeros(4))
+        with pytest.raises(DimensionMismatch):
+            run_mechanism(stream, wide_test, config_for(world), seed=0)
+        wide_init = initialize_model(5, (-1, 1), (-3, 3), seed=0, dimension=2)
+        with pytest.raises(DimensionMismatch):
+            run_mechanism(stream, test, config_for(world), init=wide_init)
 
     def test_bad_config(self):
         with pytest.raises(DomainError):
