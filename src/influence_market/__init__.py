@@ -43,6 +43,7 @@ from .errors import (
     IndexOutOfRange,
     InfluenceMarketError,
     InsufficientInitialization,
+    InvalidValue,
     IoError,
     MissingColumn,
     NonNumericCell,

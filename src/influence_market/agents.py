@@ -2,19 +2,38 @@
 Agent populations for the mechanism: synthetic linear worlds, truthful and
 heuristic reporting strategies, population simulations, and the Monte-Carlo
 best-response probe.
+
+Draw order. Every report is drawn from the caller's generator row by row,
+and one private function per strategy defines the order:
+
+* truthful (and perturbed): d uniform features, then one normal noise draw
+  when ``noise_std > 0``;
+* heuristic: d uniform features, then one uniform target.
+
+This is the bit-generator consumption of ``rng.uniform(size=d)`` followed by
+``rng.normal()`` or ``rng.uniform()``. The draws are made as standard
+uniforms and standard normals and mapped onto the world's bounds and noise
+scale with the same arithmetic those NumPy methods apply. The functions fill
+preallocated arrays; ``truthful_report`` and ``heuristic_report`` are
+one-row wrappers over them, and ``report_stream``, ``independent_test_set``
+and ``best_response_check`` fill whole arrays. So a stream drawn in one call
+equals, bit for bit, the same reports drawn one at a time, and leaves the
+generator in the same state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, EmptyDataset
+from .influence import risk_change
 from .mechanism import MechanismConfig, PaymentLedger, run_mechanism
 from .mixture import MixtureParams
-from .regression import DataPoint, Dataset, Parameters, fit, risk
+from .regression import DataPoint, Dataset, Parameters, _solve_normal_equations
 
 STRATEGIES = ("truthful", "heuristic", "perturbed")
 
@@ -83,33 +102,74 @@ def generate_world(seed: int) -> WorldModel:
     )
 
 
+def _scaled(lo: float, hi: float, draws: np.ndarray) -> np.ndarray:
+    """Standard uniforms mapped onto [lo, hi) as ``rng.uniform(lo, hi)`` maps them."""
+    return lo + (hi - lo) * draws
+
+
+def _linear_targets(world: WorldModel, X: np.ndarray) -> np.ndarray:
+    """w . x + b per row.
+
+    Each row's dot product is taken on its own, as a single report's is, so
+    its rounding does not depend on how many rows are drawn together. With
+    one feature the dot product is the exact product, so it is taken for all
+    rows at once; the per-row loop would nearly double the best-response
+    probe's time.
+    """
+    w, b = world.true_params.weights, world.true_params.bias
+    if len(w) == 1:
+        return X[:, 0] * w[0] + b
+    return np.array([w @ x for x in X], dtype=np.float64) + b
+
+
+def _draw_truthful(world: WorldModel, rng: np.random.Generator, X: np.ndarray, y: np.ndarray):
+    """Fill the n rows of X (n, d) and y (n,) with truthful observations.
+
+    Per row: d uniform features, then one standard normal when
+    ``noise_std > 0``. The normal draws take a variable number of bits, so
+    the rows are drawn one by one.
+    """
+    n, d = X.shape
+    noisy = world.noise_std > 0
+    if noisy:
+        calls = (rng.random,) * d + (rng.standard_normal,)
+        draws = np.array([call() for _ in range(n) for call in calls]).reshape(n, d + 1)
+    else:
+        draws = rng.random((n, d))
+    X[:] = _scaled(*world.x_bounds, draws[:, :d])
+    y[:] = _linear_targets(world, X)
+    if noisy:
+        y += world.noise_std * draws[:, d]
+
+
+def _draw_heuristic(world: WorldModel, rng: np.random.Generator, X: np.ndarray, y: np.ndarray):
+    """Fill the n rows of X (n, d) and y (n,) with heuristic reports.
+
+    Per row: d uniform features, then one uniform target. All are uniform
+    draws, so one bulk draw consumes the stream as the row-by-row calls do.
+    """
+    n, d = X.shape
+    draws = rng.random((n, d + 1))
+    X[:] = _scaled(*world.x_bounds, draws[:, :d])
+    y[:] = _scaled(*world.heuristic_y_bounds, draws[:, d])
+
+
+def _one_report(draw, world: WorldModel, seed, agent_id, arrival_index) -> DataPoint:
+    X, y = np.empty((1, world.dimension)), np.empty(1)
+    draw(world, np.random.default_rng(seed), X, y)
+    return DataPoint(X[0], y[0], agent_id=agent_id, arrival_index=arrival_index)
+
+
 def truthful_report(world: WorldModel, seed, agent_id=None, arrival_index=0) -> DataPoint:
     """Observe the world: x uniform in its bounds, y on the true line plus
     Gaussian noise."""
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(world.x_bounds[0], world.x_bounds[1], size=world.dimension)
-    y = float(world.true_params.weights @ x + world.true_params.bias)
-    if world.noise_std > 0:
-        y += rng.normal(0.0, world.noise_std)
-    return DataPoint(x, y, agent_id=agent_id, arrival_index=arrival_index)
+    return _one_report(_draw_truthful, world, seed, agent_id, arrival_index)
 
 
 def heuristic_report(world: WorldModel, seed, agent_id=None, arrival_index=0) -> DataPoint:
     """Uninformed report: the truthful feature marginal, but y uniform in the
     heuristic bounds and independent of x."""
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(world.x_bounds[0], world.x_bounds[1], size=world.dimension)
-    y = rng.uniform(world.heuristic_y_bounds[0], world.heuristic_y_bounds[1])
-    return DataPoint(x, float(y), agent_id=agent_id, arrival_index=arrival_index)
-
-
-def _report_for(profile: AgentProfile, world: WorldModel, rng, arrival_index: int) -> DataPoint:
-    if profile.strategy == "heuristic":
-        return heuristic_report(world, rng, profile.agent_id, arrival_index)
-    point = truthful_report(world, rng, profile.agent_id, arrival_index)
-    if profile.strategy == "perturbed" and profile.deviation:
-        return DataPoint(point.x, point.y + profile.deviation, profile.agent_id, arrival_index)
-    return point
+    return _one_report(_draw_heuristic, world, seed, agent_id, arrival_index)
 
 
 def build_population(n_agents: int, p_truthful: float, effort: float = 0.0) -> list:
@@ -123,20 +183,34 @@ def build_population(n_agents: int, p_truthful: float, effort: float = 0.0) -> l
 
 
 def report_stream(profiles: Sequence[AgentProfile], world: WorldModel, seed: int) -> Dataset:
-    """One report per opted-in agent, arrival order uniformly shuffled."""
+    """One report per opted-in agent, arrival order uniformly shuffled.
+
+    Perturbed agents observe truthfully and add their deviation to y.
+    """
     rng = np.random.default_rng(seed)
     active = [p for p in profiles if p.opt_in]
-    order = rng.permutation(len(active))
-    points = []
-    for arrival, idx in enumerate(order):
-        points.append(_report_for(active[idx], world, rng, arrival))
-    return Dataset.from_points(points)
+    ordered = [active[i] for i in rng.permutation(len(active))]
+    X = np.empty((len(ordered), world.dimension))
+    y = np.empty(len(ordered))
+    start = 0
+    for heuristic, run in groupby(p.strategy == "heuristic" for p in ordered):
+        stop = start + sum(1 for _ in run)
+        draw = _draw_heuristic if heuristic else _draw_truthful
+        draw(world, rng, X[start:stop], y[start:stop])
+        start = stop
+    for i, p in enumerate(ordered):
+        if p.strategy == "perturbed" and p.deviation:
+            y[i] += p.deviation
+    return Dataset(X, y, [p.agent_id for p in ordered])
 
 
 def independent_test_set(world: WorldModel, n_test: int, seed: int) -> Dataset:
-    rng = np.random.default_rng(seed)
-    points = [truthful_report(world, rng, None, i) for i in range(n_test)]
-    return Dataset.from_points(points)
+    """n_test truthful observations, drawn from a generator seeded with ``seed``."""
+    if n_test < 0:
+        raise DomainError(f"n_test must be non-negative, got {n_test}")
+    X, y = np.empty((n_test, world.dimension)), np.empty(n_test)
+    _draw_truthful(world, np.random.default_rng(seed), X, y)
+    return Dataset(X, y)
 
 
 @dataclass
@@ -256,40 +330,52 @@ def best_response_check(
     (exactly Theorem-style scoring: the leave-one-out model is the others'
     model). Returns rows of (deviation, mean_influence).
 
+    Each trial draws the others' reports, then the test set, then the probed
+    observation, in that order. Every deviation is scored in closed form.
+    Adding the report (x~, y + c) to the others' fit moves theta by u * a,
+    with u = G^{-1} x~, leverage h = x~ . u and
+    a = (y + c - x~ . theta) / (1 + h) (Sherman-Morrison). Squared loss makes
+    the influence exactly -(g * a + s * a**2), with g = gbar . u and
+    s = u.T S u, where gbar is the mean test-loss gradient and S the test
+    second moment. So the table is an exact quadratic in c, and the others'
+    model is solved once per trial.
+
     Raises
     ------
     DomainError
         If n_others < d + 1: the others' model is underdetermined and the
         best-response question is not well posed.
+    EmptyDataset
+        If n_test < 1.
     """
     d = world.dimension
     if n_others < d + 1:
         raise DomainError(
             f"best_response_check needs n_others >= d + 1 = {d + 1}, got {n_others}"
         )
+    if n_test < 1:
+        raise EmptyDataset("best_response_check needs n_test >= 1 test points")
     grid = [float(c) for c in deviation_grid]
+    deviations = np.array(grid)
     rng = np.random.default_rng(seed)
+    # Augmented rows (features, then a column of ones) of the others, the
+    # test set and the probed observation, refilled every trial.
+    rows = np.ones((n_others + n_test + 1, d + 1))
+    targets = np.empty(n_others + n_test + 1)
+    others, y_others = rows[:n_others], targets[:n_others]
+    test, y_test = rows[n_others:-1], targets[n_others:-1]
+    probe = rows[-1]
     sums = np.zeros(len(grid))
     for _ in range(n_trials):
-        others = Dataset.from_points(
-            [truthful_report(world, rng, None, i) for i in range(n_others)]
-        )
-        test = Dataset.from_points(
-            [truthful_report(world, rng, None, i) for i in range(n_test)]
-        )
-        observed = truthful_report(world, rng)
-        model = fit(others)
-        base = risk(test, model.params)
-        x_aug = np.concatenate([observed.x, [1.0]])
-        u = model.gram_inverse @ x_aug
-        h = float(x_aug @ u)
+        _draw_truthful(world, rng, rows[:, :d], targets)
+        model = _solve_normal_equations(others.T @ others, others.T @ y_others, n_others, 0.0)
         theta = model.params.as_vector()
-        test_aug = test.augmented()
-        for i, c in enumerate(grid):
-            resid = (observed.y + c) - float(x_aug @ theta)
-            theta_new = theta + u * (resid / (1.0 + h))
-            res = test.y - test_aug @ theta_new
-            sums[i] += base - float(np.mean(res * res))
+        u = model.gram_inverse @ probe
+        h = probe @ u
+        a = ((targets[-1] + deviations) - probe @ theta) / (1.0 + h)
+        gbar = (-2.0 / n_test) * (test.T @ (y_test - test @ theta))
+        second_moment = (test.T @ test) / n_test
+        sums -= risk_change(gbar, second_moment, np.outer(u, a))
     return [
         {"deviation": grid[i], "mean_influence": sums[i] / n_trials}
         for i in range(len(grid))

@@ -5,6 +5,12 @@ class InfluenceMarketError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidValue(InfluenceMarketError, ValueError):
+    """An argument has a value the operation cannot accept: a non-finite
+    number, a negative count or coefficient, a repeated arrival index, or an
+    unknown option. Also a ValueError, so ``except ValueError`` catches it."""
+
+
 class DimensionMismatch(InfluenceMarketError):
     """Feature vector or parameter dimensions do not agree."""
 

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import IndexOutOfRange, SingularDesign
+from .errors import IndexOutOfRange, InvalidValue, SingularDesign
 from .regression import (
     DataPoint,
     Dataset,
@@ -155,7 +155,7 @@ def exact_influence(
     if method == "downdate":
         return float(exact_influences(train, test, model=model, indices=[j], ridge=ridge)[0])
     if method != "refit":
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidValue(f"unknown method {method!r}")
     if model is None:
         model = fit(train, ridge=ridge)
     loo = fit(train.without_index(j), ridge=model.ridge)
@@ -278,7 +278,7 @@ def approximation_errors(
     near-zero exact influences.
     """
     if order not in ("first", "second"):
-        raise ValueError(f"order must be 'first' or 'second', got {order!r}")
+        raise InvalidValue(f"order must be 'first' or 'second', got {order!r}")
     if model is None:
         model = fit(train, ridge=ridge)
     exact = exact_influences(train, test, model=model)

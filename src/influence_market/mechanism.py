@@ -26,7 +26,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, EmptyStream, InsufficientInitialization
+from .errors import (
+    DimensionMismatch,
+    DomainError,
+    EmptyStream,
+    InsufficientInitialization,
+    InvalidValue,
+)
 from .influence import _rank_one_shifts, _second_moment, risk_change
 from .mixture import MixtureParams, correction_exclusive, correction_inclusive, total_risk_change
 from .regression import Dataset, FittedModel, _solve_normal_equations, fit
@@ -279,7 +285,7 @@ def run_mechanism(
             f"{init.dimension}, {stream.dimension}, {test.dimension}"
         )
     if np.intersect1d(init.arrival_index, stream.arrival_index).size:
-        raise ValueError("init and stream share arrival_index values")
+        raise InvalidValue("init and stream share arrival_index values")
     model = fit(init, ridge=config.ridge)
     init_rows = init.augmented()
     gram = init_rows.T @ init_rows

@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatch,
     EmptyDataset,
     IndexOutOfRange,
+    InvalidValue,
     SingularDesign,
 )
 
@@ -59,11 +60,11 @@ class DataPoint:
         if x.ndim != 1:
             raise DimensionMismatch(f"feature vector must be 1-D, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
-            raise ValueError("feature vector contains non-finite values")
+            raise InvalidValue("feature vector contains non-finite values")
         if not np.isfinite(self.y):
-            raise ValueError("target is not finite")
+            raise InvalidValue("target is not finite")
         if self.arrival_index < 0:
-            raise ValueError("arrival_index must be non-negative")
+            raise InvalidValue("arrival_index must be non-negative")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", float(self.y))
 
@@ -103,9 +104,9 @@ class Dataset:
                 f"targets have shape {y.shape}, expected ({X.shape[0]},)"
             )
         if X.size and not np.all(np.isfinite(X)):
-            raise ValueError("feature matrix contains non-finite values")
+            raise InvalidValue("feature matrix contains non-finite values")
         if y.size and not np.all(np.isfinite(y)):
-            raise ValueError("targets contain non-finite values")
+            raise InvalidValue("targets contain non-finite values")
         n = X.shape[0]
         if agent_ids is None:
             agent_ids = tuple([None] * n)
@@ -120,7 +121,7 @@ class Dataset:
             if arrival_index.shape != (n,):
                 raise DimensionMismatch("arrival_index length does not match point count")
             if n and len(np.unique(arrival_index)) != n:
-                raise ValueError("arrival_index values must be unique within a dataset")
+                raise InvalidValue("arrival_index values must be unique within a dataset")
         X.setflags(write=False)
         y.setflags(write=False)
         arrival_index.setflags(write=False)
@@ -212,7 +213,7 @@ class Parameters:
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=np.float64))
         if not np.all(np.isfinite(w)) or not np.isfinite(self.bias):
-            raise ValueError("parameters contain non-finite values")
+            raise InvalidValue("parameters contain non-finite values")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", float(self.bias))
@@ -310,7 +311,7 @@ def fit(data: Dataset, ridge: float = 0.0) -> FittedModel:
         optimality certificate.
     """
     if ridge < 0:
-        raise ValueError("ridge must be non-negative")
+        raise InvalidValue("ridge must be non-negative")
     n = len(data)
     d = data.dimension
     if n < d + 1:

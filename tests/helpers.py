@@ -3,12 +3,17 @@
 Everything here deliberately avoids the library's own computational paths:
 fits go through numpy.linalg.lstsq on explicitly built augmented matrices,
 derivatives through central finite differences, special functions through
-direct series summation.
+direct series summation. The per-point report generators below are the one
+exception: they call the library's public single-report functions,
+``truthful_report`` and ``heuristic_report``, one point at a time, as the
+reference the array-based generators must reproduce bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from influence_market import heuristic_report, truthful_report
 
 
 def augment(X):
@@ -97,3 +102,54 @@ def random_regression(rng, n, d, noise=0.1):
     X = rng.normal(size=(n, d))
     y = X @ theta[:-1] + theta[-1] + noise * rng.normal(size=n)
     return X, y
+
+
+def per_point_reports(world, rng, n):
+    """n truthful reports drawn one ``truthful_report`` call at a time."""
+    points = [truthful_report(world, rng, None, i) for i in range(n)]
+    X = np.array([p.x for p in points]).reshape(n, world.dimension)
+    return X, np.array([p.y for p in points])
+
+
+def per_point_stream(profiles, world, rng):
+    """Reference for ``report_stream``: the same shuffle of the opted-in
+    agents, then one ``truthful_report`` or ``heuristic_report`` call per
+    arrival; perturbed agents add their deviation to the observed target.
+    Returns X, y, agent_ids and arrival indices."""
+    active = [p for p in profiles if p.opt_in]
+    order = rng.permutation(len(active))
+    X, y, ids = [], [], []
+    for arrival, idx in enumerate(order):
+        profile = active[idx]
+        report = heuristic_report if profile.strategy == "heuristic" else truthful_report
+        point = report(world, rng, profile.agent_id, arrival)
+        target = point.y
+        if profile.strategy == "perturbed" and profile.deviation:
+            target = target + profile.deviation
+        X.append(point.x)
+        y.append(target)
+        ids.append(point.agent_id)
+    return np.array(X), np.array(y), tuple(ids), np.arange(len(order))
+
+
+def refit_best_response(world, n_others, grid, seed, n_trials, n_test):
+    """Oracle for ``best_response_check``: per-point draws in the same order
+    (others, test set, probed observation), then for every deviation c an
+    lstsq refit on the others plus (x, y + c) and a direct risk difference.
+    Returns the mean influences, the mean test risk of the others' fit and
+    the largest condition number of the others' augmented Gram matrix."""
+    rng = np.random.default_rng(seed)
+    sums = np.zeros(len(grid))
+    base_sum = 0.0
+    worst_cond = 1.0
+    for _ in range(n_trials):
+        X_o, y_o = per_point_reports(world, rng, n_others)
+        X_t, y_t = per_point_reports(world, rng, n_test)
+        x, y = per_point_reports(world, rng, 1)
+        base = direct_risk(X_t, y_t, lstsq_fit(X_o, y_o))
+        base_sum += base
+        worst_cond = max(worst_cond, np.linalg.cond(augment(X_o)) ** 2)
+        for i, c in enumerate(grid):
+            theta = lstsq_fit(np.vstack([X_o, x]), np.concatenate([y_o, y + c]))
+            sums[i] += base - direct_risk(X_t, y_t, theta)
+    return sums / n_trials, base_sum / n_trials, worst_cond
