@@ -1,7 +1,8 @@
 """
 Agent populations for the mechanism: synthetic linear worlds, truthful and
 heuristic reporting strategies, population simulations, and the Monte-Carlo
-best-response probe.
+best-response probe, which prices its deviations with the influence
+module's rank-one kernel.
 
 Draw order. Every report is drawn from the caller's generator row by row,
 and one private function per strategy defines the order:
@@ -30,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, EmptyDataset
-from .influence import risk_change
+from .influence import _prices, _second_moment, _test_terms
 from .mechanism import MechanismConfig, PaymentLedger, run_mechanism
 from .mixture import MixtureParams
 from .regression import DataPoint, Dataset, Parameters, _solve_normal_equations
@@ -331,20 +332,16 @@ def best_response_check(
     model). Returns rows of (deviation, mean_influence).
 
     Each trial draws the others' reports, then the test set, then the probed
-    observation, in that order. Every deviation is scored in closed form.
-    Adding the report (x~, y + c) to the others' fit moves theta by u * a,
-    with u = G^{-1} x~, leverage h = x~ . u and
-    a = (y + c - x~ . theta) / (1 + h) (Sherman-Morrison). Squared loss makes
-    the influence exactly -(g * a + s * a**2), with g = gbar . u and
-    s = u.T S u, where gbar is the mean test-loss gradient and S the test
-    second moment. So the table is an exact quadratic in c, and the others'
-    model is solved once per trial.
+    observation, in that order. The others' model is solved once per trial,
+    and every deviation is priced in closed form by the influence module's
+    rank-one kernel as the probed report added to it, so the table is an
+    exact quadratic in c.
 
     Raises
     ------
     DomainError
         If n_others < d + 1: the others' model is underdetermined and the
-        best-response question is not well posed.
+        best-response question is not well posed; or if n_trials < 1.
     EmptyDataset
         If n_test < 1.
     """
@@ -353,6 +350,8 @@ def best_response_check(
         raise DomainError(
             f"best_response_check needs n_others >= d + 1 = {d + 1}, got {n_others}"
         )
+    if n_trials < 1:
+        raise DomainError(f"best_response_check needs n_trials >= 1, got {n_trials}")
     if n_test < 1:
         raise EmptyDataset("best_response_check needs n_test >= 1 test points")
     grid = [float(c) for c in deviation_grid]
@@ -364,18 +363,16 @@ def best_response_check(
     targets = np.empty(n_others + n_test + 1)
     others, y_others = rows[:n_others], targets[:n_others]
     test, y_test = rows[n_others:-1], targets[n_others:-1]
-    probe = rows[-1]
+    probes = np.broadcast_to(rows[-1], (len(grid), d + 1))
     sums = np.zeros(len(grid))
     for _ in range(n_trials):
         _draw_truthful(world, rng, rows[:, :d], targets)
-        model = _solve_normal_equations(others.T @ others, others.T @ y_others, n_others, 0.0)
-        theta = model.params.as_vector()
-        u = model.gram_inverse @ probe
-        h = probe @ u
-        a = ((targets[-1] + deviations) - probe @ theta) / (1.0 + h)
-        gbar = (-2.0 / n_test) * (test.T @ (y_test - test @ theta))
-        second_moment = (test.T @ test) / n_test
-        sums -= risk_change(gbar, second_moment, np.outer(u, a))
+        theta, gram_inverse, _ = _solve_normal_equations(
+            others.T @ others, others.T @ y_others, n_others, 0.0
+        )
+        _, gbar = _test_terms(test, y_test, theta)
+        res = (targets[-1] + deviations) - rows[-1] @ theta
+        sums += _prices(gram_inverse, probes, res, gbar, _second_moment(test), "exact", True)
     return [
         {"deviation": grid[i], "mean_influence": sums[i] / n_trials}
         for i in range(len(grid))

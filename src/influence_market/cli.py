@@ -25,7 +25,7 @@ from .agents import (
     simulate_population,
 )
 from .dataio import builtin_schema, load_csv, read_schema, write_results
-from .errors import InfluenceMarketError
+from .errors import InfluenceMarketError, InvalidValue
 from .influence import approximation_errors, crossover_dimension, timing_comparison
 from .mechanism import MechanismConfig, run_mechanism
 from .mixture import (
@@ -34,6 +34,16 @@ from .mixture import (
     correction_inclusive,
     truthful_threshold,
 )
+
+
+def _number_list(text: str, convert, flag: str) -> list:
+    """Comma-separated numbers of a list-valued flag, each through ``convert``."""
+    try:
+        return [convert(item) for item in text.split(",")]
+    except ValueError:
+        raise InvalidValue(
+            f"{flag} must be a comma-separated list of numbers, got {text!r}"
+        ) from None
 
 
 def _add_common(parser):
@@ -146,7 +156,7 @@ def _mechanism_run_sums(world, q, n, b, mode, seed, n_test, ridge):
 
 
 def cmd_batch_ratio(args) -> int:
-    batch_sizes = [int(b) for b in args.batch_sizes.split(",")]
+    batch_sizes = _number_list(args.batch_sizes, int, "--batch-sizes")
     rows = []
     for b in batch_sizes:
         inc_sums, exc_sums, deltas = [], [], []
@@ -221,7 +231,7 @@ def cmd_influence_time(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    dims = [int(d) for d in args.dims.split(",")]
+    dims = _number_list(args.dims, int, "--dims")
     rows = timing_comparison([args.n_train], dims, args.n_test, seed=args.seed)
     write_results(rows, args.out_dir / "bench.csv")
     _write_manifest(args, args.out_dir)
@@ -266,7 +276,7 @@ def cmd_simulate(args) -> int:
     summary["truthful_threshold"] = truthful_threshold(params)
     write_results(summary, args.out_dir / "simulation_summary.txt", fmt="key-value-summary")
 
-    grid = [float(c) for c in args.deviation_grid.split(",")]
+    grid = _number_list(args.deviation_grid, float, "--deviation-grid")
     table = best_response_check(
         world,
         n_others=args.n_others,

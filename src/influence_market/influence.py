@@ -13,16 +13,16 @@ Influence of a training point on a test set, computed three ways.
   squared loss the test expansion is exact in the shift, so all remaining
   error comes from the shift itself.
 
-Every exact and second-order price goes through one kernel,
-:func:`risk_change`. Squared loss makes the test risk quadratic in the
-parameters, so moving them by a shift delta changes it by exactly
-gbar . delta + delta.T S delta, where gbar is the mean test-loss gradient at
-the fitted parameters and S = T~.T T~ / n_test the test second moment. The
-kernel scores every column of a shift matrix at once in O(d^2) per column,
-whatever n_test is, and never forms the n_test x n projection of the test
-set onto the shifts. gbar is computed from the test residuals, not from
-moments: the moment form of the risk, theta.T S theta - 2 theta.T c + E[y^2],
-cancels catastrophically when the risk is small against E[y^2].
+The pricing algebra lives here only; the mechanism and the best-response
+probe call it too. ``_test_terms`` gives the test risk and gbar, the mean
+test-loss gradient at the parameters, from the residuals res = y - T~ theta
+(the moment form of the risk cancels catastrophically when the risk is small
+against E[y^2]); ``_second_moment`` gives S = T~.T T~ / n_test; ``_prices``
+moves the parameters by one Sherman-Morrison shift per row of a training set
+with Gram inverse G^{-1} and scores each shift. Squared loss makes the test
+risk quadratic in the parameters, so a shift delta changes it by exactly
+gbar . delta + delta.T S delta (:func:`risk_change`), in O(d^2) per shift
+whatever n_test is.
 
 Positive influence means the point was helpful: removing it raises test risk.
 """
@@ -40,6 +40,7 @@ from .regression import (
     DataPoint,
     Dataset,
     FittedModel,
+    _check_params_dim,
     fit,
     loss_gradient,
     point_hessian,
@@ -73,17 +74,15 @@ class ApproximationErrorReport:
     n_test: int
 
 
-def _mean_test_gradient(model: FittedModel, test: Dataset) -> np.ndarray:
-    """Mean over test points of the loss gradient at the fitted parameters."""
-    res = residuals(test, model.params)
-    aug = test.augmented()
-    return -2.0 * (aug.T @ res) / len(test)
+def _test_terms(test_rows: np.ndarray, test_y: np.ndarray, theta: np.ndarray):
+    """Test risk and gbar at ``theta``, from the augmented test rows T~."""
+    res = test_y - test_rows @ theta
+    return float(res @ res) / len(test_y), (-2.0 / len(test_y)) * (test_rows.T @ res)
 
 
-def _second_moment(test: Dataset) -> np.ndarray:
+def _second_moment(test_rows: np.ndarray) -> np.ndarray:
     """Test second moment S = T~.T T~ / n_test in augmented space."""
-    aug = test.augmented()
-    return (aug.T @ aug) / len(test)
+    return (test_rows.T @ test_rows) / len(test_rows)
 
 
 def risk_change(gbar: np.ndarray, second_moment: np.ndarray, shifts: np.ndarray):
@@ -99,16 +98,12 @@ def risk_change(gbar: np.ndarray, second_moment: np.ndarray, shifts: np.ndarray)
 
 
 def _rank_one_shifts(
-    model: FittedModel,
-    aug: np.ndarray,
-    res: np.ndarray,
-    method: str,
-    added: bool = False,
+    gram_inverse: np.ndarray, rows: np.ndarray, res: np.ndarray, method: str, added: bool
 ) -> np.ndarray:
-    """Parameter shift, as one column per row of ``aug``, from removing each
-    row from the model's training set (or adding it, when ``added``).
+    """Parameter shift, one column per augmented row, from removing each row
+    from the fit with this Gram inverse (or adding it, when ``added``).
 
-    ``res`` holds the rows' residuals under the model. With
+    ``res`` holds the rows' residuals under the fitted parameters. With
     u_j = G^{-1} x~_j, residual r_j and leverage h_j = x~_j . u_j, the
     exact removal shift is -u_j r_j / (1 - h_j) and the exact addition shift
     u_j r_j / (1 + h_j) (Sherman-Morrison). ``method="first-order"`` keeps
@@ -118,8 +113,8 @@ def _rank_one_shifts(
     keeps the quadratic one: u_j r_j (1 - h_j).
     """
     sign = 1.0 if added else -1.0
-    U = aug @ model.gram_inverse
-    hat = np.einsum("ij,ij->i", U, aug)
+    U = rows @ gram_inverse
+    hat = np.einsum("ij,ij->i", U, rows)
     steps = U.T * (sign * res)
     if method == "first-order":
         return steps
@@ -129,6 +124,52 @@ def _rank_one_shifts(
     if np.any(denom <= 1e-12):
         raise SingularDesign("leave-one-out Gram matrix is singular for some point")
     return steps / denom
+
+
+def _prices(
+    gram_inverse, rows, res, gbar, second_moment, method: str, added: bool
+) -> np.ndarray:
+    """Price of removing each augmented row from the fit (or of adding it,
+    when ``added``): the test risk without the row minus the risk with it, in
+    ``method``'s approximation. The first order keeps only the linear term
+    gbar . shift and ignores ``second_moment``.
+    """
+    shifts = _rank_one_shifts(gram_inverse, rows, res, method, added)
+    if method == "first-order":
+        change = gbar @ shifts
+    else:
+        change = risk_change(gbar, second_moment, shifts)
+    return -change if added else change
+
+
+def _test_side(model: FittedModel, test: Dataset):
+    """gbar and S of ``test`` at the model's parameters."""
+    _check_params_dim(model.params, test.dimension)
+    test_rows = test.augmented()
+    _, gbar = _test_terms(test_rows, test.y, model.params.as_vector())
+    return gbar, _second_moment(test_rows)
+
+
+def _removal_prices(model, points: Dataset, test: Dataset, method: str, idx=slice(None)):
+    """Price of removing each of ``points`` (or its rows ``idx``) from the
+    model's training set, against ``test``."""
+    rows, res = points.augmented()[idx], residuals(points, model.params)[idx]
+    gbar, second_moment = _test_side(model, test)
+    return _prices(model.gram_inverse, rows, res, gbar, second_moment, method, added=False)
+
+
+def _checked_indices(train: Dataset, indices: Optional[Sequence[int]]):
+    """Row index of ``indices`` (all rows when None), once each addresses a
+    point of ``train`` and every leave-one-out fit of it is determined."""
+    idx = slice(None) if indices is None else np.asarray(indices, dtype=np.int64)
+    outside = [] if indices is None else idx[(idx < 0) | (idx >= len(train))]
+    if len(outside):
+        raise IndexOutOfRange(f"index {outside[0]} outside dataset of size {len(train)}")
+    if len(train) < train.dimension + 2:
+        raise SingularDesign(
+            f"need at least d + 2 = {train.dimension + 2} points for leave-one-out"
+        )
+    return idx
 
 
 def exact_influence(
@@ -146,12 +187,7 @@ def exact_influence(
     ``method="refit"`` refits from scratch and exists for validation and
     timing. Requires n >= d + 2 so the leave-one-out fit is determined.
     """
-    if not 0 <= j < len(train):
-        raise IndexOutOfRange(f"index {j} outside dataset of size {len(train)}")
-    if len(train) < train.dimension + 2:
-        raise SingularDesign(
-            f"need at least d + 2 = {train.dimension + 2} points for leave-one-out"
-        )
+    _checked_indices(train, [j])
     if method == "downdate":
         return float(exact_influences(train, test, model=model, indices=[j], ridge=ridge)[0])
     if method != "refit":
@@ -175,33 +211,22 @@ def exact_influences(
     for squared loss equals the literal refit-and-difference value up to
     rounding; tests pin the two paths together to 1e-9.
     """
+    idx = _checked_indices(train, indices)
     if model is None:
         model = fit(train, ridge=ridge)
-    if len(train) < train.dimension + 2:
-        raise SingularDesign(
-            f"need at least d + 2 = {train.dimension + 2} points for leave-one-out"
-        )
-    aug, res = train.augmented(), residuals(train, model.params)
-    if indices is not None:
-        idx = np.asarray(indices, dtype=np.int64)
-        aug, res = aug[idx], res[idx]
-    shifts = _rank_one_shifts(model, aug, res, "exact")
-    return risk_change(_mean_test_gradient(model, test), _second_moment(test), shifts)
+    return _removal_prices(model, train, test, "exact", idx)
 
 
 def first_order_influence(model: FittedModel, z_j: DataPoint, test: Dataset) -> float:
-    """First-order influence: (1/n) grad_test.T H^{-1} grad_j, test-averaged."""
-    grad = loss_gradient(z_j, model.params)
-    gbar = _mean_test_gradient(model, test)
-    return float(gbar @ model.hessian_inverse_dot(grad)) / model.n_train
+    """First-order influence of one point; see :func:`first_order_influences`."""
+    return float(first_order_influences(model, Dataset.from_points([z_j]), test)[0])
 
 
 def first_order_influences(model: FittedModel, points: Dataset, test: Dataset) -> np.ndarray:
-    """First-order influence of each point in ``points``, vectorized: the
-    linear term of the risk change at the one-term shift."""
-    res = residuals(points, model.params)
-    shifts = _rank_one_shifts(model, points.augmented(), res, "first-order")
-    return _mean_test_gradient(model, test) @ shifts
+    """First-order influence of each point in ``points``, vectorized:
+    (1/n) grad_test.T H^{-1} grad_j, test-averaged, the linear term of the
+    risk change at the one-term shift."""
+    return _removal_prices(model, points, test, "first-order")
 
 
 def second_order_param_shift(model: FittedModel, z_j: DataPoint) -> np.ndarray:
@@ -230,16 +255,15 @@ def second_order_influence(
     shift it reproduces the exact influence because squared loss is quadratic.
     """
     if shift is None:
-        shift = second_order_param_shift(model, z_j)
-    gbar = _mean_test_gradient(model, test)
-    return float(risk_change(gbar, _second_moment(test), np.asarray(shift, dtype=np.float64)))
+        return float(second_order_influences(model, Dataset.from_points([z_j]), test)[0])
+    gbar, second_moment = _test_side(model, test)
+    return float(risk_change(gbar, second_moment, np.asarray(shift, dtype=np.float64)))
 
 
 def second_order_influences(model: FittedModel, points: Dataset, test: Dataset) -> np.ndarray:
-    """Second-order influence of each point in ``points``, vectorized."""
-    res = residuals(points, model.params)
-    shifts = _rank_one_shifts(model, points.augmented(), res, "second-order")
-    return risk_change(_mean_test_gradient(model, test), _second_moment(test), shifts)
+    """Second-order influence of each point in ``points``, vectorized: the
+    exact risk change at the two-term shift."""
+    return _removal_prices(model, points, test, "second-order")
 
 
 def influence_records(

@@ -3,19 +3,16 @@ Sequential data-acquisition mechanism: uniform initialization, batched
 influence scoring (inclusive or exclusive of the current batch), optional
 closed-form score normalization, and the resulting payment ledger.
 
-The batch loop is inherently sequential; scoring inside one batch is
-independent across points and reuses a single fitted model per batch, so the
-Hessian inverse is computed once per batch. The run keeps the sufficient
-statistics of everything absorbed so far, the augmented Gram matrix
-G += B~.T B~ and moment m += B~.T y_B, where B~ is the batch's slice of the
-stream's augmented matrix; no Dataset is built per batch. Each batch
-re-solves the exactly accumulated G instead of chaining Woodbury updates of
-G^{-1}, which drift over thousands of steps. Exclusive mode scores against
-the previous batch's post-batch model, so every batch costs one solve. The
-test set is summarized once per run by its second moment S; each batch's
-test residuals give both the risk trace and the mean test gradient of the
-risk-change kernel (see the influence module), because the moment form of
-the risk cancels catastrophically when the risk is small.
+The run keeps the sufficient statistics of everything absorbed so far, the
+augmented Gram matrix G += B~.T B~ and moment m += B~.T y_B, where B~ is the
+batch's slice of the stream's augmented matrix, and re-solves the exactly
+accumulated G once per batch instead of chaining Woodbury updates of G^{-1},
+which drift over thousands of steps. Between batches it carries only the
+arrays theta, G^{-1} and the mean test gradient gbar. No payment feeds back
+into the model, so each post-batch model depends only on a prefix of the
+stream. Inclusive mode prices a batch's rows as removed from the post-batch
+model, exclusive mode as added to the pre-batch one, through the influence
+module's ``_prices``, which holds the pricing algebra.
 """
 
 from __future__ import annotations
@@ -33,9 +30,9 @@ from .errors import (
     InsufficientInitialization,
     InvalidValue,
 )
-from .influence import _rank_one_shifts, _second_moment, risk_change
+from .influence import _prices, _second_moment, _test_terms
 from .mixture import MixtureParams, correction_exclusive, correction_inclusive, total_risk_change
-from .regression import Dataset, FittedModel, _solve_normal_equations, fit
+from .regression import Dataset, _solve_normal_equations, fit
 
 MODES = ("inclusive", "exclusive")
 NORMALIZATIONS = ("none", "closed-form-D")
@@ -209,32 +206,6 @@ def initialize_model(
     return Dataset(X, y, ids, arrival)
 
 
-def _batch_influences(
-    model: FittedModel,
-    rows: np.ndarray,
-    targets: np.ndarray,
-    gbar: np.ndarray,
-    second_moment: np.ndarray,
-    config: MechanismConfig,
-) -> np.ndarray:
-    """Raw influence of each batch row (augmented) against ``model``.
-
-    Inclusive mode: ``model`` includes the batch and each row is scored as if
-    removed. Exclusive mode: ``model`` is the pre-batch model and each row is
-    scored as if added, risk(test, model) - risk(test, model + row), so
-    positive means adding the row lowers test risk. ``gbar`` is the mean
-    test-loss gradient at ``model``.
-    """
-    added = config.mode == "exclusive"
-    res = targets - rows @ model.params.as_vector()
-    shifts = _rank_one_shifts(model, rows, res, config.influence_method, added)
-    if config.influence_method == "first-order":
-        change = gbar @ shifts
-    else:
-        change = risk_change(gbar, second_moment, shifts)
-    return -change if added else change
-
-
 def run_mechanism(
     stream: Dataset,
     test: Dataset,
@@ -287,18 +258,17 @@ def run_mechanism(
     if np.intersect1d(init.arrival_index, stream.arrival_index).size:
         raise InvalidValue("init and stream share arrival_index values")
     model = fit(init, ridge=config.ridge)
+    theta, gram_inverse = model.params.as_vector(), model.gram_inverse
     init_rows = init.augmented()
     gram = init_rows.T @ init_rows
     moment = init_rows.T @ init.y
     test_rows = test.augmented()
-    second_moment = _second_moment(test)
-
-    def test_risk_and_gradient(model: FittedModel):
-        res = test.y - test_rows @ model.params.as_vector()
-        return float(res @ res) / len(test), (-2.0 / len(test)) * (test_rows.T @ res)
+    second_moment = _second_moment(test_rows)
+    method, added = config.influence_method, config.mode == "exclusive"
+    correction = correction_exclusive if added else correction_inclusive
 
     ledger = PaymentLedger(config=config)
-    risk_now, gbar = test_risk_and_gradient(model)
+    risk_now, gbar = _test_terms(test_rows, test.y, theta)
     ledger.risk_trace.append(risk_now)
 
     rows, targets = stream.augmented(), stream.y
@@ -309,20 +279,17 @@ def run_mechanism(
         batch_rows, batch_targets = rows[lo:hi], targets[lo:hi]
         gram += batch_rows.T @ batch_rows
         moment += batch_rows.T @ batch_targets
-        post = _solve_normal_equations(gram, moment, len(init) + hi, config.ridge)
-        risk_now, gbar_post = test_risk_and_gradient(post)
-        if config.mode == "inclusive":
-            raw = _batch_influences(
-                post, batch_rows, batch_targets, gbar_post, second_moment, config
-            )
-        else:
-            raw = _batch_influences(model, batch_rows, batch_targets, gbar, second_moment, config)
+        theta_post, inverse_post, _ = _solve_normal_equations(
+            gram, moment, len(init) + hi, config.ridge
+        )
+        risk_now, gbar_post = _test_terms(test_rows, test.y, theta_post)
+        if not added:
+            theta, gram_inverse, gbar = theta_post, inverse_post, gbar_post
+        res = batch_targets - batch_rows @ theta
+        raw = _prices(gram_inverse, batch_rows, res, gbar, second_moment, method, added)
         if config.normalization == "closed-form-D":
-            mp = MixtureParams(init_count=len(init), n_collected=n_total, batch_size=hi - lo)
-            factor = (
-                correction_inclusive(mp)
-                if config.mode == "inclusive"
-                else correction_exclusive(mp)
+            factor = correction(
+                MixtureParams(init_count=len(init), n_collected=n_total, batch_size=hi - lo)
             )
         else:
             factor = 1.0
@@ -338,7 +305,7 @@ def run_mechanism(
                 )
             )
         ledger.risk_trace.append(risk_now)
-        model, gbar = post, gbar_post
+        theta, gram_inverse, gbar = theta_post, inverse_post, gbar_post
     return ledger
 
 

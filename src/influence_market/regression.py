@@ -10,9 +10,9 @@ factorization; there is no iterative training anywhere in this package.
 
 For squared loss a fit depends on the data only through the augmented Gram
 matrix X~.T X~ and the moment vector X~.T y. ``fit`` forms both from a
-Dataset and hands them to one private solver, which the sequential mechanism
-also calls on Gram and moment sums it accumulates batch by batch, so neither
-the accumulated data nor a Dataset holding it is ever rebuilt.
+Dataset and hands them to one private solver returning plain arrays, which
+only ``fit`` wraps in a ``FittedModel``; the mechanism and the best-response
+probe call the solver on sums they accumulate themselves.
 """
 
 from __future__ import annotations
@@ -319,16 +319,22 @@ def fit(data: Dataset, ridge: float = 0.0) -> FittedModel:
             f"need at least d + 1 = {d + 1} points to fit in augmented dimension, got {n}"
         )
     aug = data.augmented()
-    return _solve_normal_equations(aug.T @ aug, aug.T @ data.y, n, ridge)
+    theta, gram_inverse, chol_gram = _solve_normal_equations(aug.T @ aug, aug.T @ data.y, n, ridge)
+    return FittedModel(
+        params=Parameters.from_vector(theta),
+        hessian_factorization=np.sqrt(2.0 / n) * chol_gram,
+        gram_inverse=gram_inverse,
+        n_train=n,
+        ridge=float(ridge),
+    )
 
 
-def _solve_normal_equations(
-    gram: np.ndarray, moment: np.ndarray, n: int, ridge: float
-) -> FittedModel:
-    """Fitted model from the sufficient statistics of n training points.
+def _solve_normal_equations(gram: np.ndarray, moment: np.ndarray, n: int, ridge: float):
+    """Parameters of the fit to the sufficient statistics of n training points.
 
     ``gram`` is the unpenalized augmented Gram matrix X~.T X~ and ``moment``
-    the vector X~.T y; ridge is added to the Gram diagonal here. Raises
+    the vector X~.T y; ridge is added to the Gram diagonal here. Returns
+    theta, the penalized Gram inverse and its lower Cholesky factor. Raises
     SingularDesign as :func:`fit` documents.
     """
     eye = np.eye(gram.shape[0])
@@ -346,23 +352,17 @@ def _solve_normal_equations(
     theta, gram_inverse = solution[:, 0], solution[:, 1:]
 
     # Optimality certificate: gradient of the fitted objective at theta,
-    # relative to the gradient at the zero parameter vector.
+    # relative to the gradient at the zero parameter vector; a NaN fails it.
     grad = (2.0 / n) * (gram @ theta - moment)
     grad_at_zero = (2.0 / n) * moment
     ref = np.linalg.norm(grad_at_zero)
-    if np.linalg.norm(grad) > OPTIMALITY_TOL * max(ref, 1.0):
+    if not np.linalg.norm(grad) <= OPTIMALITY_TOL * max(ref, 1.0):
         raise SingularDesign(
             "normal-equation solve failed the optimality certificate; "
             "the design is too ill-conditioned (supply ridge > 0)"
         )
-    hess_factor = np.sqrt(2.0 / n) * chol_gram
-    return FittedModel(
-        params=Parameters.from_vector(theta),
-        hessian_factorization=hess_factor,
-        gram_inverse=gram_inverse,
-        n_train=n,
-        ridge=float(ridge),
-    )
+    # Contiguous, as Parameters.as_vector() is, so products with theta round alike.
+    return np.ascontiguousarray(theta), gram_inverse, chol_gram
 
 
 def loss(z: DataPoint, params: Parameters) -> float:

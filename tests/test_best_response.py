@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from influence_market import (
+    DomainError,
     EmptyDataset,
     Parameters,
     WorldModel,
@@ -56,6 +57,12 @@ def test_noiseless_world_matches_refits():
 def test_needs_a_test_point():
     with pytest.raises(EmptyDataset):
         best_response_check(generate_world(1), 5, [0.0], n_trials=1, n_test=0)
+
+
+@pytest.mark.parametrize("n_trials", [0, -3])
+def test_needs_a_trial(n_trials):
+    with pytest.raises(DomainError, match="n_trials"):
+        best_response_check(generate_world(1), 5, [0.0], n_trials=n_trials)
 
 
 @settings(max_examples=20, deadline=None)

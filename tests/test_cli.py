@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from influence_market import read_results
 from influence_market.cli import main
@@ -176,3 +177,19 @@ class TestSimulate:
             )
             outs.append(read_results(tmp_path / sub / "ledger.csv"))
         assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("batch-ratio", "--batch-sizes", "1,x"),
+        ("bench", "--dims", "1,q"),
+        ("simulate", "--deviation-grid", "1,abc"),
+    ],
+)
+def test_bad_number_list_exits_with_one_error_line(argv, tmp_path, capsys):
+    code = run(*argv, "--out-dir", tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert argv[1] in err[0] and repr(argv[2]) in err[0]

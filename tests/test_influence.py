@@ -83,6 +83,12 @@ class TestExactInfluence:
         with pytest.raises(IndexOutOfRange):
             exact_influence(train, len(train), test)
 
+    @pytest.mark.parametrize("index", [25, -1])
+    def test_plural_index_out_of_range(self, index):
+        train, test = make_case(3, n=20)
+        with pytest.raises(IndexOutOfRange, match=f"index {index} outside dataset of size 20"):
+            exact_influences(train, test, indices=[0, index])
+
     def test_needs_d_plus_two(self):
         rng = np.random.default_rng(4)
         X, y = random_regression(rng, 3, 2)

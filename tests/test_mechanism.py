@@ -9,6 +9,7 @@ from influence_market import (
     InsufficientInitialization,
     MechanismConfig,
     MixtureParams,
+    SingularDesign,
     budget_estimate,
     build_population,
     correction_inclusive,
@@ -237,6 +238,18 @@ class TestGuards:
         wide_init = initialize_model(5, (-1, 1), (-3, 3), seed=0, dimension=2)
         with pytest.raises(DimensionMismatch):
             run_mechanism(stream, test, config_for(world), init=wide_init)
+
+    # Reports this large overflow the accumulated Gram matrix, so the first
+    # batch's solve yields a NaN gradient, which must not pass as a model.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["inclusive", "exclusive"])
+    def test_overflowing_reports_raise(self, mode):
+        X = np.array([[1.0], [2.0], [3.5], [4.0]])
+        y = np.array([1.0, 2.0, 3.0, 5.0])
+        init = Dataset(X[:3] / 10, y[:3], arrival_index=[-1, -2, -3])
+        stream, test = Dataset(X * 1e160, y), Dataset(X, y)
+        with pytest.raises(SingularDesign, match="optimality certificate"):
+            run_mechanism(stream, test, MechanismConfig(mode=mode), init=init)
 
     def test_bad_config(self):
         with pytest.raises(DomainError):

@@ -105,6 +105,14 @@ class TestFit:
         model = fit(Dataset(X, y), ridge=1e-8)
         assert np.all(np.isfinite(model.params.as_vector()))
 
+    # The Gram matrix of features this large overflows to inf, and the
+    # solve yields a NaN gradient, which the optimality certificate rejects.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_design_fails_certificate(self):
+        X = np.array([[1.0], [2.0], [3.5], [4.0]]) * 1e160
+        with pytest.raises(SingularDesign, match="optimality certificate"):
+            fit(Dataset(X, np.array([1.0, 2.0, 3.0, 5.0])))
+
     def test_optimality_invariant(self):
         # risk does not drop under small parameter perturbations
         rng = np.random.default_rng(3)
