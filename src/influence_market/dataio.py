@@ -1,6 +1,15 @@
 """
 CSV ingestion with per-dataset preprocessing schemas, plus result
 serialization (plot-ready CSV tables and flat key-value summaries).
+
+Files are read and written as UTF-8; a file that does not decode, or that
+the csv module cannot parse, raises IoError. The CSV converters work a column
+at a time: ``load_csv_with_stats`` converts each wanted column with one
+``map(float, ...)`` and looks at single cells only in a column where that
+raised or gave a NaN, ``write_results`` formats each column once, and
+``read_results`` parses each column with ``float`` and tries ``int`` only
+where the value is integral or infinite. Files, values and errors are those
+of converting one cell at a time.
 """
 
 from __future__ import annotations
@@ -73,12 +82,7 @@ def load_csv_with_stats(path, schema: DatasetSchema):
     cell (such as ``inf``) raises NonNumericCell with its coordinates, before
     any standardization. Row order is preserved.
     """
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh, delimiter=schema.delimiter)
-            rows = list(reader)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    rows = _read_rows(path, schema.delimiter)
     if not rows:
         raise IoError(f"{path} is empty; a header row is required")
     header = [h.strip() for h in rows[0]]
@@ -94,56 +98,76 @@ def load_csv_with_stats(path, schema: DatasetSchema):
     ]
     target_idx = header.index(schema.target_column)
 
-    features = []
-    targets = []
-    row_numbers = []
-    for row_number, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        cells = [row[i].strip() if i < len(row) else "" for i in range(len(header))]
-        wanted = [cells[i] for i in keep] + [cells[target_idx]]
-        if any(cell in NA_STRINGS for cell in wanted):
-            if schema.na_policy == "drop-row":
+    body = rows[1:]
+    n = len(body)
+    columns = _columns(body, len(header))
+    X = np.empty((n, len(keep)))
+    y = np.empty(n)
+    # (name, stripped cells, NA mask, non-numeric mask) of each wanted column,
+    # in keep-then-target order, whose bulk conversion raised or gave a NaN.
+    looked = []
+    for i, out in zip(keep + [target_idx], [*X.T, y]):
+        try:
+            out[:] = np.fromiter(map(float, columns[i]), np.float64, n)
+            if not np.isnan(out).any():
                 continue
-            missing = next(
-                header[i] for i in keep + [target_idx] if cells[i] in NA_STRINGS
-            )
+        except ValueError:
+            pass
+        cells = [cell.strip() for cell in columns[i]]
+        na = np.array([cell in NA_STRINGS for cell in cells], dtype=bool)
+        bad = np.zeros(n, dtype=bool)
+        for r in np.flatnonzero(~na).tolist():
+            try:
+                out[r] = float(cells[r])
+            except ValueError:
+                bad[r] = True
+        looked.append((header[i], cells, na, bad))
+
+    na_row = np.zeros(n, dtype=bool)
+    bad_row = np.zeros(n, dtype=bool)
+    for _, _, na, bad in looked:
+        na_row |= na
+        bad_row |= bad
+    # A blank row has only NA cells, so only rows with an NA cell can be blank.
+    blank = np.zeros(n, dtype=bool)
+    for r in np.flatnonzero(na_row).tolist():
+        blank[r] = not "".join(body[r]).strip()
+    na_row &= ~blank
+    bad_row &= ~blank
+    if schema.na_policy == "error":
+        offending = na_row | bad_row
+    else:
+        offending = bad_row & ~na_row
+    if offending.any():
+        r = int(np.argmax(offending))
+        row_number = r + 2
+        if na_row[r]:
+            missing = next(name for name, _, na, _ in looked if na[r])
             raise NonNumericCell(
                 f"missing value at row {row_number}, column {missing!r}",
                 row=row_number,
                 column=missing,
             )
-        try:
-            features.append([float(cells[i]) for i in keep])
-        except ValueError:
-            bad = next(i for i in keep if not _is_float(cells[i]))
-            raise NonNumericCell(
-                f"non-numeric cell {cells[bad]!r} at row {row_number}, "
-                f"column {header[bad]!r}",
-                row=row_number,
-                column=header[bad],
-            ) from None
-        if not _is_float(cells[target_idx]):
-            raise NonNumericCell(
-                f"non-numeric cell {cells[target_idx]!r} at row {row_number}, "
-                f"column {schema.target_column!r}",
-                row=row_number,
-                column=schema.target_column,
-            )
-        targets.append(float(cells[target_idx]))
-        row_numbers.append(row_number)
-    if not features:
+        name, cells = next((name, cells) for name, cells, _, bad in looked if bad[r])
+        raise NonNumericCell(
+            f"non-numeric cell {cells[r]!r} at row {row_number}, column {name!r}",
+            row=row_number,
+            column=name,
+        )
+    kept = ~(blank | na_row)
+    if not kept.any():
         raise EmptyAfterFiltering(f"no usable rows left in {path}")
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    finite = np.isfinite(np.column_stack([X, y]))
-    if not finite.all():
+    if not kept.all():
+        X, y = X[kept], y[kept]
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        row_numbers = np.flatnonzero(kept) + 2
+        finite = np.isfinite(np.column_stack([X, y]))
         row, col = np.argwhere(~finite)[0]
         name = header[(keep + [target_idx])[col]]
         value = float(X[row, col] if col < len(keep) else y[row])
         raise NonNumericCell(
             f"non-finite cell {str(value)!r} at row {row_numbers[row]}, column {name!r}",
-            row=row_numbers[row],
+            row=int(row_numbers[row]),
             column=name,
         )
     stats = None
@@ -162,12 +186,21 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
     return dataset
 
 
-def _is_float(cell: str) -> bool:
+def _read_rows(path, delimiter: str = ",") -> list:
+    """Every row of a UTF-8 CSV file as a list of cell strings."""
     try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh, delimiter=delimiter))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def _columns(rows: list, width: int) -> list:
+    """The first ``width`` columns of ``rows`` as tuples; cells missing from
+    short rows read as ``""`` and cells beyond ``width`` are ignored."""
+    if set(map(len, rows)) - {width}:
+        rows = [(row + [""] * width)[:width] for row in rows]
+    return list(zip(*rows)) if rows else [()] * width
 
 
 # Dropped columns follow the stated criteria (non-predictive identifiers,
@@ -257,25 +290,37 @@ def builtin_schema(name: str) -> DatasetSchema:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float) or isinstance(value, np.floating):
+    if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
     return str(value)
+
+
+def _format_column(values: list) -> list:
+    """``_format_value`` of every value, one call per column when the
+    column holds only floats or only ints and strings."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return list(map("{:.17g}".format, values))
+    if kinds <= {int, str}:
+        return list(map(str, values))
+    return list(map(_format_value, values))
 
 
 def write_results(data, path, fmt: str = "csv", columns: Optional[Sequence[str]] = None):
     """Serialize results deterministically.
 
     ``fmt="csv"``: ``data`` is a sequence of dicts sharing keys; the column
-    order is ``columns`` or the first row's key order. Floats are rendered
-    with 17 significant digits so a read-back is bit-exact.
+    order is ``columns`` or the first row's key order, and a row lacking one
+    of those keys raises MissingColumn before the file is opened. Floats are
+    rendered with 17 significant digits so a read-back is bit-exact.
     ``fmt="key-value-summary"``: ``data`` is a flat mapping written as
     ``key=value`` lines in insertion order.
     """
     if fmt == "key-value-summary":
         try:
-            with open(path, "w", newline="") as fh:
+            with open(path, "w", newline="", encoding="utf-8") as fh:
                 for key, value in data.items():
                     fh.write(f"{key}={_format_value(value)}\n")
         except OSError as exc:
@@ -287,58 +332,86 @@ def write_results(data, path, fmt: str = "csv", columns: Optional[Sequence[str]]
     if columns is None:
         columns = list(rows[0].keys()) if rows else []
     try:
-        with open(path, "w", newline="") as fh:
+        cells = [_format_column([row[c] for row in rows]) for c in columns]
+    except KeyError:
+        index, column = next(
+            (i, c) for i, row in enumerate(rows) for c in columns if c not in row
+        )
+        raise MissingColumn(f"row {index} has no column {column!r}") from None
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_format_value(row[c]) for c in columns])
+            writer.writerows(zip(*cells) if cells else [()] * len(rows))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _parse_cell(cell: str):
+    if cell == "true":
+        return True
+    if cell == "false":
+        return False
+    try:
+        return int(cell)
+    except ValueError:
+        pass
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _parse_column(cells) -> list:
+    """``_parse_cell`` of every cell. ``int()`` can succeed only on a cell
+    whose float value is integral or infinite, so only those cells are parsed
+    one at a time; a column that is not all numbers is parsed cell by cell."""
+    try:
+        values = list(map(float, cells))
+    except ValueError:
+        return list(map(_parse_cell, cells))
+    array = np.array(values)
+    integral = np.flatnonzero(np.floor(array) == array).tolist()
+    if len(integral) == len(values):
+        try:
+            return list(map(int, cells))
+        except ValueError:
+            pass
+    for i in integral:
+        values[i] = _parse_cell(cells[i])
+    return values
 
 
 def read_results(path, fmt: str = "csv"):
     """Read back files produced by :func:`write_results`.
 
-    CSV cells parse to float where possible, otherwise stay strings;
-    key-value files parse values the same way.
+    CSV cells parse to ``True``/``False`` for ``true``/``false``, else to int
+    or float where possible, otherwise stay strings; key-value files parse
+    values the same way. A file that is not valid UTF-8 raises IoError.
     """
-
-    def parse(cell: str):
-        if cell == "true":
-            return True
-        if cell == "false":
-            return False
+    if fmt == "key-value-summary":
+        out = {}
         try:
-            return int(cell)
-        except ValueError:
-            pass
-        try:
-            return float(cell)
-        except ValueError:
-            return cell
-
-    try:
-        if fmt == "key-value-summary":
-            out = {}
-            with open(path, newline="") as fh:
+            with open(path, newline="", encoding="utf-8") as fh:
                 for line in fh:
                     line = line.rstrip("\n")
                     if not line:
                         continue
                     key, _, value = line.partition("=")
-                    out[key] = parse(value)
-            return out
-        if fmt != "csv":
-            raise DomainError(f"unknown format {fmt!r}")
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+                    out[key] = _parse_cell(value)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise IoError(f"cannot read {path}: {exc}") from exc
+        return out
+    if fmt != "csv":
+        raise DomainError(f"unknown format {fmt!r}")
+    rows = _read_rows(path)
     if not rows:
         return []
-    header = rows[0]
-    return [{h: parse(cell) for h, cell in zip(header, row)} for row in rows[1:]]
+    header, body = rows[0], rows[1:]
+    columns = [_parse_column(cells) for cells in _columns(body, len(header))]
+    parsed = zip(*columns) if columns else [()] * len(body)
+    # A short row keeps only its own cells, a long row drops its extra ones.
+    return [dict(zip(header, values[: len(row)])) for values, row in zip(parsed, body)]
 
 
 def write_schema(schema: DatasetSchema, path) -> None:

@@ -6,14 +6,25 @@ derivatives through central finite differences, special functions through
 direct series summation. The per-point report generators below are the one
 exception: they call the library's public single-report functions,
 ``truthful_report`` and ``heuristic_report``, one point at a time, as the
-reference the array-based generators must reproduce bit for bit.
+reference the array-based generators must reproduce bit for bit. The
+per-row CSV readers and writer at the end convert one cell at a time, as the
+reference the column-at-a-time ``dataio`` converters must reproduce.
 """
 
+import csv
 import math
 
 import numpy as np
 
-from influence_market import heuristic_report, truthful_report
+from influence_market import (
+    EmptyAfterFiltering,
+    IoError,
+    MissingColumn,
+    NonNumericCell,
+    heuristic_report,
+    truthful_report,
+)
+from influence_market.dataio import NA_STRINGS
 
 
 def augment(X):
@@ -153,3 +164,142 @@ def refit_best_response(world, n_others, grid, seed, n_trials, n_test):
             theta = lstsq_fit(np.vstack([X_o, x]), np.concatenate([y_o, y + c]))
             sums[i] += base - direct_risk(X_t, y_t, theta)
     return sums / n_trials, base_sum / n_trials, worst_cond
+
+
+def _is_float(cell):
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
+
+
+def per_row_load_csv(path, schema):
+    """Reference for ``load_csv_with_stats``, one row at a time: a strip, an
+    NA test and a ``float`` per cell. Returns X, y and the standardization's
+    mean and scale (both None without standardization)."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh, delimiter=schema.delimiter))
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise IoError(f"{path} is empty; a header row is required")
+    header = [h.strip() for h in rows[0]]
+    if schema.target_column not in header:
+        raise MissingColumn(f"target column {schema.target_column!r} not in header")
+    for col in schema.dropped_columns:
+        if col not in header:
+            raise MissingColumn(f"dropped column {col!r} not in header")
+    keep = [
+        i
+        for i, name in enumerate(header)
+        if name not in schema.dropped_columns and name != schema.target_column
+    ]
+    target_idx = header.index(schema.target_column)
+
+    features = []
+    targets = []
+    row_numbers = []
+    for row_number, row in enumerate(rows[1:], start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        cells = [row[i].strip() if i < len(row) else "" for i in range(len(header))]
+        wanted = [cells[i] for i in keep] + [cells[target_idx]]
+        if any(cell in NA_STRINGS for cell in wanted):
+            if schema.na_policy == "drop-row":
+                continue
+            missing = next(
+                header[i] for i in keep + [target_idx] if cells[i] in NA_STRINGS
+            )
+            raise NonNumericCell(
+                f"missing value at row {row_number}, column {missing!r}",
+                row=row_number,
+                column=missing,
+            )
+        try:
+            features.append([float(cells[i]) for i in keep])
+        except ValueError:
+            bad = next(i for i in keep if not _is_float(cells[i]))
+            raise NonNumericCell(
+                f"non-numeric cell {cells[bad]!r} at row {row_number}, "
+                f"column {header[bad]!r}",
+                row=row_number,
+                column=header[bad],
+            ) from None
+        if not _is_float(cells[target_idx]):
+            raise NonNumericCell(
+                f"non-numeric cell {cells[target_idx]!r} at row {row_number}, "
+                f"column {schema.target_column!r}",
+                row=row_number,
+                column=schema.target_column,
+            )
+        targets.append(float(cells[target_idx]))
+        row_numbers.append(row_number)
+    if not features:
+        raise EmptyAfterFiltering(f"no usable rows left in {path}")
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64)
+    finite = np.isfinite(np.column_stack([X, y]))
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        name = header[(keep + [target_idx])[col]]
+        value = float(X[row, col] if col < len(keep) else y[row])
+        raise NonNumericCell(
+            f"non-finite cell {str(value)!r} at row {row_numbers[row]}, column {name!r}",
+            row=row_numbers[row],
+            column=name,
+        )
+    if not schema.standardize:
+        return X, y, None, None
+    mean = X.mean(axis=0)
+    scale = X.std(axis=0)
+    scale[scale == 0] = 1.0
+    return (X - mean) / scale, y, mean, scale
+
+
+def _format_cell(value):
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, float) or isinstance(value, np.floating):
+        return format(float(value), ".17g")
+    return str(value)
+
+
+def per_row_write_results(rows, path, columns=None):
+    """Reference for CSV ``write_results``: one ``writerow`` per row and an
+    isinstance chain per cell."""
+    rows = list(rows)
+    if columns is None:
+        columns = list(rows[0].keys()) if rows else []
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_format_cell(row[c]) for c in columns])
+
+
+def _parse_cell(cell):
+    if cell == "true":
+        return True
+    if cell == "false":
+        return False
+    try:
+        return int(cell)
+    except ValueError:
+        pass
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def per_row_read_results(path):
+    """Reference for CSV ``read_results``: a dict per row and a
+    ``try: int / except / try: float`` per cell."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        return []
+    header = rows[0]
+    return [{h: _parse_cell(cell) for h, cell in zip(header, row)} for row in rows[1:]]

@@ -77,6 +77,24 @@ class TestApproxError:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "row 18" in err[0] and "'b'" in err[0]
 
+    @pytest.mark.parametrize("bad", ["dataset", "schema"])
+    def test_undecodable_file_exits_with_one_error_line(self, tmp_path, capsys, bad):
+        lines = ["a,b,target"] + [f"{i}.0,{i % 7}.5,{i % 3}.0" for i in range(60)]
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("\n".join(lines) + "\n")
+        schema_path = tmp_path / "data.schema"
+        schema_path.write_text("name=custom\ntarget_column=target\nstandardize=true\n")
+        undecodable = csv_path if bad == "dataset" else schema_path
+        undecodable.write_bytes(undecodable.read_bytes() + b"\xff\n")
+        code = run(
+            "approx-error", "--dataset", csv_path, "--schema", schema_path,
+            "--n-train", 30, "--n-test", 10, "--out-dir", tmp_path,
+        )
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert undecodable.name in err[0]
+
     def test_builtin_needs_data_file(self, tmp_path, capsys):
         code = run("approx-error", "--dataset", "red-wine", "--out-dir", tmp_path)
         assert code != 0
