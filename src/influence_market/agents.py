@@ -20,6 +20,12 @@ one-row wrappers over them, and ``report_stream``, ``independent_test_set``
 and ``best_response_check`` fill whole arrays. So a stream drawn in one call
 equals, bit for bit, the same reports drawn one at a time, and leaves the
 generator in the same state.
+
+The best-response probe works through its trials in chunks of a fixed size
+(``PROBE_CHUNK``): one draw fills a chunk's trials, which follow each other
+in the stream, and one stacked solve and one stacked call of the pricing
+kernel handle them all. The chunk is fixed so that the probe's memory does
+not grow with the number of trials.
 """
 
 from __future__ import annotations
@@ -37,6 +43,9 @@ from .mixture import MixtureParams
 from .regression import DataPoint, Dataset, Parameters, _solve_normal_equations
 
 STRATEGIES = ("truthful", "heuristic", "perturbed")
+# Trials the best-response probe draws, solves and prices per stacked call;
+# fixed, so the probe's memory does not grow with n_trials.
+PROBE_CHUNK = 25
 
 
 @dataclass
@@ -134,7 +143,8 @@ def _draw_truthful(world: WorldModel, rng: np.random.Generator, X: np.ndarray, y
     noisy = world.noise_std > 0
     if noisy:
         calls = (rng.random,) * d + (rng.standard_normal,)
-        draws = np.array([call() for _ in range(n) for call in calls]).reshape(n, d + 1)
+        draws = np.fromiter((call() for call in calls * n), np.float64, n * (d + 1))
+        draws = draws.reshape(n, d + 1)
     else:
         draws = rng.random((n, d))
     X[:] = _scaled(*world.x_bounds, draws[:, :d])
@@ -329,13 +339,17 @@ def best_response_check(
     agent observes truthfully and reports y + c for every c on the grid. The
     influence is the drop in independent-test risk from adding the report
     (exactly Theorem-style scoring: the leave-one-out model is the others'
-    model). Returns rows of (deviation, mean_influence).
+    model). Returns rows of (deviation, mean_influence). ``seed`` is
+    anything ``np.random.default_rng`` takes; a Generator is drawn from as
+    is.
 
     Each trial draws the others' reports, then the test set, then the probed
     observation, in that order. The others' model is solved once per trial,
     and every deviation is priced in closed form by the influence module's
     rank-one kernel as the probed report added to it, so the table is an
-    exact quadratic in c.
+    exact quadratic in c. Trials are drawn, solved and priced PROBE_CHUNK at
+    a time with one stacked call each, and their prices summed in trial
+    order.
 
     Raises
     ------
@@ -357,22 +371,31 @@ def best_response_check(
     grid = [float(c) for c in deviation_grid]
     deviations = np.array(grid)
     rng = np.random.default_rng(seed)
-    # Augmented rows (features, then a column of ones) of the others, the
-    # test set and the probed observation, refilled every trial.
-    rows = np.ones((n_others + n_test + 1, d + 1))
-    targets = np.empty(n_others + n_test + 1)
-    others, y_others = rows[:n_others], targets[:n_others]
-    test, y_test = rows[n_others:-1], targets[n_others:-1]
-    probes = np.broadcast_to(rows[-1], (len(grid), d + 1))
+    # Augmented rows (features, then a column of ones) and targets of each
+    # trial of a chunk: the others, the test set, then the probed observation.
+    per_trial = n_others + n_test + 1
+    rows = np.ones((PROBE_CHUNK, per_trial, d + 1))
+    targets = np.empty((PROBE_CHUNK, per_trial))
+    flat_rows, flat_targets = rows.reshape(-1, d + 1), targets.reshape(-1)
     sums = np.zeros(len(grid))
-    for _ in range(n_trials):
-        _draw_truthful(world, rng, rows[:, :d], targets)
+    for start in range(0, n_trials, PROBE_CHUNK):
+        c = min(PROBE_CHUNK, n_trials - start)
+        # Consecutive trials are consecutive rows of the stream, so one draw
+        # fills the chunk as c per-trial draws would.
+        _draw_truthful(world, rng, flat_rows[: c * per_trial, :d], flat_targets[: c * per_trial])
+        others, y_others = rows[:c, :n_others], targets[:c, :n_others, None]
+        test, y_test = rows[:c, n_others:-1], targets[:c, n_others:-1]
+        probe, y_probe = rows[:c, -1:], targets[:c, -1:]
+        others_t = others.swapaxes(-1, -2)
         theta, gram_inverse, _ = _solve_normal_equations(
-            others.T @ others, others.T @ y_others, n_others, 0.0
+            others_t @ others, (others_t @ y_others)[..., 0], n_others, 0.0
         )
         _, gbar = _test_terms(test, y_test, theta)
-        res = (targets[-1] + deviations) - rows[-1] @ theta
-        sums += _prices(gram_inverse, probes, res, gbar, _second_moment(test), "exact", True)
+        res = (y_probe + deviations) - (probe @ theta[..., None])[..., 0]
+        probes = np.broadcast_to(probe, (c, len(grid), d + 1))
+        prices = _prices(gram_inverse, probes, res, gbar, _second_moment(test), "exact", True)
+        for trial_prices in prices:
+            sums += trial_prices
     return [
         {"deviation": grid[i], "mean_influence": sums[i] / n_trials}
         for i in range(len(grid))

@@ -22,7 +22,11 @@ moves the parameters by one Sherman-Morrison shift per row of a training set
 with Gram inverse G^{-1} and scores each shift. Squared loss makes the test
 risk quadratic in the parameters, so a shift delta changes it by exactly
 gbar . delta + delta.T S delta (:func:`risk_change`), in O(d^2) per shift
-whatever n_test is.
+whatever n_test is. These functions take leading stack axes (``@``,
+``swapaxes`` and ``einsum`` over the trailing two), so one call prices a
+stack of independent fits, as the best-response probe does for a chunk of
+trials. Each fit of a stack, and a lone fit, gets the BLAS calls that
+unstacked code would make for it, so it rounds the same way.
 
 Positive influence means the point was helpful: removing it raises test risk.
 """
@@ -76,13 +80,15 @@ class ApproximationErrorReport:
 
 def _test_terms(test_rows: np.ndarray, test_y: np.ndarray, theta: np.ndarray):
     """Test risk and gbar at ``theta``, from the augmented test rows T~."""
-    res = test_y - test_rows @ theta
-    return float(res @ res) / len(test_y), (-2.0 / len(test_y)) * (test_rows.T @ res)
+    n_test = test_y.shape[-1]
+    res = test_y[..., None] - test_rows @ theta[..., None]
+    risk = (res.swapaxes(-1, -2) @ res)[..., 0, 0] / n_test
+    return risk, (-2.0 / n_test) * (test_rows.swapaxes(-1, -2) @ res)[..., 0]
 
 
 def _second_moment(test_rows: np.ndarray) -> np.ndarray:
     """Test second moment S = T~.T T~ / n_test in augmented space."""
-    return (test_rows.T @ test_rows) / len(test_rows)
+    return (test_rows.swapaxes(-1, -2) @ test_rows) / test_rows.shape[-2]
 
 
 def risk_change(gbar: np.ndarray, second_moment: np.ndarray, shifts: np.ndarray):
@@ -90,11 +96,20 @@ def risk_change(gbar: np.ndarray, second_moment: np.ndarray, shifts: np.ndarray)
 
     ``shifts`` is one augmented shift vector or a matrix whose columns are
     shifts; the result is gbar . D + colsum(D * (S @ D)), a scalar or one
-    value per column. For squared loss this equals the per-test-point
-    expansion (grad + 0.5 * H_test @ shift) . shift averaged over the test
-    set, with no truncation error.
+    value per column. Leading axes of all three arguments stack independent
+    test sides. For squared loss this equals the per-test-point expansion
+    (grad + 0.5 * H_test @ shift) . shift averaged over the test set, with no
+    truncation error.
     """
-    return gbar @ shifts + np.sum(shifts * (second_moment @ shifts), axis=0)
+    if shifts.ndim == gbar.ndim:
+        return risk_change(gbar, second_moment, shifts[..., None])[..., 0]
+    quadratic = (shifts * (second_moment @ shifts)).sum(axis=-2)
+    return _linear_change(gbar, shifts) + quadratic
+
+
+def _linear_change(gbar: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """gbar . D per shift column D, the first-order change in test risk."""
+    return (gbar[..., None, :] @ shifts)[..., 0, :]
 
 
 def _rank_one_shifts(
@@ -114,16 +129,16 @@ def _rank_one_shifts(
     """
     sign = 1.0 if added else -1.0
     U = rows @ gram_inverse
-    hat = np.einsum("ij,ij->i", U, rows)
-    steps = U.T * (sign * res)
+    hat = np.einsum("...ij,...ij->...i", U, rows)
+    steps = U.swapaxes(-1, -2) * (sign * res)[..., None, :]
     if method == "first-order":
         return steps
     if method == "second-order":
-        return steps * (1.0 - sign * hat)
+        return steps * (1.0 - sign * hat)[..., None, :]
     denom = 1.0 + sign * hat
-    if np.any(denom <= 1e-12):
+    if (denom <= 1e-12).any():
         raise SingularDesign("leave-one-out Gram matrix is singular for some point")
-    return steps / denom
+    return steps / denom[..., None, :]
 
 
 def _prices(
@@ -132,11 +147,13 @@ def _prices(
     """Price of removing each augmented row from the fit (or of adding it,
     when ``added``): the test risk without the row minus the risk with it, in
     ``method``'s approximation. The first order keeps only the linear term
-    gbar . shift and ignores ``second_moment``.
+    gbar . shift and ignores ``second_moment``. Leading axes of every array
+    stack independent fits: ``rows`` (..., m, p) and ``res`` (..., m) against
+    G^{-1} and S (..., p, p) and gbar (..., p) give prices (..., m).
     """
     shifts = _rank_one_shifts(gram_inverse, rows, res, method, added)
     if method == "first-order":
-        change = gbar @ shifts
+        change = _linear_change(gbar, shifts)
     else:
         change = risk_change(gbar, second_moment, shifts)
     return -change if added else change

@@ -12,7 +12,10 @@ For squared loss a fit depends on the data only through the augmented Gram
 matrix X~.T X~ and the moment vector X~.T y. ``fit`` forms both from a
 Dataset and hands them to one private solver returning plain arrays, which
 only ``fit`` wraps in a ``FittedModel``; the mechanism and the best-response
-probe call the solver on sums they accumulate themselves.
+probe call the solver on sums they accumulate themselves. The solver takes
+leading stack axes, so the probe solves a chunk of independent fits with one
+call, and checks positive definiteness and the optimality certificate of
+every fit in the stack.
 """
 
 from __future__ import annotations
@@ -332,31 +335,38 @@ def fit(data: Dataset, ridge: float = 0.0) -> FittedModel:
 def _solve_normal_equations(gram: np.ndarray, moment: np.ndarray, n: int, ridge: float):
     """Parameters of the fit to the sufficient statistics of n training points.
 
-    ``gram`` is the unpenalized augmented Gram matrix X~.T X~ and ``moment``
-    the vector X~.T y; ridge is added to the Gram diagonal here. Returns
-    theta, the penalized Gram inverse and its lower Cholesky factor. Raises
-    SingularDesign as :func:`fit` documents.
+    ``gram`` (..., p, p) is the unpenalized augmented Gram matrix X~.T X~ and
+    ``moment`` (..., p) the vector X~.T y; leading axes stack independent
+    fits of n points each. Ridge is added to the Gram diagonal here. Returns
+    theta (..., p), the penalized Gram inverse and its lower Cholesky factor
+    (both (..., p, p)). Raises SingularDesign as :func:`fit` documents if any
+    fit of the stack fails.
     """
-    eye = np.eye(gram.shape[0])
+    p = gram.shape[-1]
+    eye = np.eye(p)
     if ridge:
         gram = gram + ridge * eye
+    # One solve gives the parameters (first column) and the Gram inverse.
+    rhs = np.empty(moment.shape + (p + 1,))
+    rhs[..., 0], rhs[..., 1:] = moment, eye
     try:
         chol_gram = np.linalg.cholesky(gram)
-        # One solve gives the parameters (first column) and the Gram inverse.
-        solution = np.linalg.solve(gram, np.column_stack([moment, eye]))
+        solution = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularDesign(
             "augmented Gram matrix is not invertible"
             + ("" if ridge else "; supply ridge > 0 for collinear designs")
         ) from exc
-    theta, gram_inverse = solution[:, 0], solution[:, 1:]
+    theta, gram_inverse = solution[..., 0], solution[..., 1:]
 
-    # Optimality certificate: gradient of the fitted objective at theta,
-    # relative to the gradient at the zero parameter vector; a NaN fails it.
-    grad = (2.0 / n) * (gram @ theta - moment)
-    grad_at_zero = (2.0 / n) * moment
-    ref = np.linalg.norm(grad_at_zero)
-    if not np.linalg.norm(grad) <= OPTIMALITY_TOL * max(ref, 1.0):
+    # Optimality certificate, per fit: the gradient (2/n)(G theta - m) of the
+    # fitted objective must be small against the gradient (2/n) m at the zero
+    # parameter vector (or against 1); compared squared, with the common
+    # (2/n)^2 moved to the bound. A NaN fails it.
+    grad = gram @ theta[..., None] - rhs[..., :1]
+    grad_sq = (grad.swapaxes(-1, -2) @ grad)[..., 0, 0]
+    moment_sq = (rhs[..., :1].swapaxes(-1, -2) @ rhs[..., :1])[..., 0, 0]
+    if not (grad_sq <= OPTIMALITY_TOL**2 * np.maximum(moment_sq, (n / 2.0) ** 2)).all():
         raise SingularDesign(
             "normal-equation solve failed the optimality certificate; "
             "the design is too ill-conditioned (supply ridge > 0)"

@@ -3,7 +3,7 @@
 Everything here deliberately avoids the library's own computational paths:
 fits go through numpy.linalg.lstsq on explicitly built augmented matrices,
 derivatives through central finite differences, special functions through
-direct series summation. The per-point report generators below are the one
+direct series summation, and the exact fit through rational arithmetic. The per-point report generators below are the one
 exception: they call the library's public single-report functions,
 ``truthful_report`` and ``heuristic_report``, one point at a time, as the
 reference the array-based generators must reproduce bit for bit. The
@@ -13,6 +13,7 @@ reference the column-at-a-time ``dataio`` converters must reproduce.
 
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -54,6 +55,34 @@ def refit_influence(X, y, j, X_test, y_test, ridge=0.0):
     mask = np.arange(len(y)) != j
     theta_loo = lstsq_fit(X[mask], y[mask], ridge)
     return direct_risk(X_test, y_test, theta_loo) - direct_risk(X_test, y_test, theta)
+
+
+def exact_fit_risk(X, y, X_test, y_test):
+    """Test risk of the least-squares fit to (X, y), in exact rational
+    arithmetic: every float input is converted exactly, the augmented normal
+    equations are solved by Gauss-Jordan elimination, and the mean squared
+    test residual is returned as a Fraction."""
+    rows = [[Fraction(v) for v in row] + [Fraction(1)] for row in np.asarray(X).tolist()]
+    targets = [Fraction(v) for v in np.asarray(y).tolist()]
+    p = len(rows[0])
+    system = [
+        [sum(r[i] * r[j] for r in rows) for j in range(p)]
+        + [sum(r[i] * t for r, t in zip(rows, targets))]
+        for i in range(p)
+    ]
+    for c in range(p):
+        pivot = next(r for r in range(c, p) if system[r][c] != 0)
+        system[c], system[pivot] = system[pivot], system[c]
+        for r in range(p):
+            if r != c and system[r][c] != 0:
+                f = system[r][c] / system[c][c]
+                system[r] = [a - f * b for a, b in zip(system[r], system[c])]
+    theta = [system[i][p] / system[i][i] for i in range(p)]
+    total = Fraction(0)
+    for row, target in zip(np.asarray(X_test).tolist(), np.asarray(y_test).tolist()):
+        res = Fraction(target) - sum(Fraction(v) * t for v, t in zip(row, theta)) - theta[-1]
+        total += res * res
+    return total / len(y_test)
 
 
 def central_difference_gradient(f, theta, step=1e-6):

@@ -285,13 +285,16 @@ def test_criterion_09_oracle_equivalence():
 def test_criterion_10_bench_crossover():
     # qualitative only: the approximation must overtake the exact full refit
     # at some finite dimension for a fixed test set; wall-clock ordering, so
-    # allow one remeasure if a contended CPU garbles the first sample
+    # allow one remeasure if a contended CPU garbles the first sample. The
+    # second-order loop costs about the same at every d, and the refit grows
+    # with d: at d=128 the two tie within BLAS-threading noise on 2 vCPUs,
+    # at d=256 the refit takes 2-3x as long, so the win is asserted there.
     def measure():
-        rows = timing_comparison([1000], [1, 16, 128], 400, seed=0)
+        rows = timing_comparison([1000], [1, 16, 128, 256], 400, seed=0)
         by = {(r["method"], r["dimension"]): r["seconds"] for r in rows}
         ok = (
             by[("second-order", 1)] > by[("exact-refit", 1)]
-            and by[("second-order", 128)] < by[("exact-refit", 128)]
+            and by[("second-order", 256)] < by[("exact-refit", 256)]
             and crossover_dimension(rows) is not None
         )
         return ok, rows, by
@@ -304,5 +307,5 @@ def test_criterion_10_bench_crossover():
         f"CRITERION 10 PASS: exact faster at d=1 "
         f"({by[('exact-refit', 1)]:.2f}s vs {by[('second-order', 1)]:.2f}s), "
         f"approximation overtakes at d={crossover_dimension(rows)} "
-        f"(d=128: {by[('exact-refit', 128)]:.2f}s vs {by[('second-order', 128)]:.2f}s)"
+        f"(d=256: {by[('exact-refit', 256)]:.2f}s vs {by[('second-order', 256)]:.2f}s)"
     )

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import influence_market.agents as agents
 from influence_market import (
     DomainError,
     EmptyDataset,
     Parameters,
+    SingularDesign,
     WorldModel,
     best_response_check,
     generate_world,
 )
+from influence_market.agents import PROBE_CHUNK
 
 from helpers import refit_best_response
 
@@ -77,3 +80,69 @@ def test_table_matches_refits(seed, d, extra_others, noise_std, grid):
     rng = np.random.default_rng(seed)
     world = world_of(rng.normal(size=d) * 5.0, rng.normal(), noise_std)
     assert_matches_refits(world, d + extra_others, grid, seed, n_trials=2, n_test=15)
+
+
+# The probe works through its trials PROBE_CHUNK at a time: trial counts
+# around one and two chunks, with a partial last chunk.
+CHUNKED_TRIALS = [1, PROBE_CHUNK - 1, PROBE_CHUNK, PROBE_CHUNK + 1, 2 * PROBE_CHUNK + 3]
+
+
+@pytest.mark.parametrize("n_trials", CHUNKED_TRIALS)
+def test_chunked_trials_match_refits(n_trials):
+    assert_matches_refits(generate_world(42), 8, CRITERION_GRID, 17, n_trials, n_test=12)
+
+
+def test_chunked_trials_match_refits_in_three_dimensions():
+    world = world_of([1.5, -2.0, 0.5], -0.7, noise_std=1.0)
+    assert_matches_refits(world, 9, [-1.0, 0.0, 1.0], 4, 2 * PROBE_CHUNK + 3, n_test=10)
+
+
+@pytest.mark.parametrize("n_trials", CHUNKED_TRIALS)
+def test_generator_ends_where_per_point_draws_end(n_trials):
+    # A generator passed as the seed is used as is, so its next draw shows
+    # how far the probe advanced it.
+    world = generate_world(42)
+    rng, reference = np.random.default_rng(23), np.random.default_rng(23)
+    best_response_check(world, 8, [0.0], seed=rng, n_trials=n_trials, n_test=12)
+    refit_best_response(world, 8, [0.0], reference, n_trials, 12)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert rng.standard_normal() == reference.standard_normal()
+
+
+def corrupt_others(monkeypatch, trial, n_others, n_test, features):
+    """Overwrite the others' features of one trial (counted from 0) as they
+    are drawn, however the probe groups its trials into draws."""
+    per_trial = n_others + n_test + 1
+    first = trial * per_trial
+    drawn = 0
+    draw = agents._draw_truthful
+
+    def corrupting_draw(world, rng, X, y):
+        nonlocal drawn
+        draw(world, rng, X, y)
+        lo, hi = first - drawn, first - drawn + n_others
+        if lo >= 0 and hi <= len(X):
+            X[lo:hi] = features
+        drawn += len(X)
+
+    monkeypatch.setattr(agents, "_draw_truthful", corrupting_draw)
+
+
+def test_singular_trial_inside_a_chunk_raises(monkeypatch):
+    # Identical features make the others' Gram matrix exactly singular.
+    corrupt_others(monkeypatch, PROBE_CHUNK + 2, 4, 6, np.ones((4, 1)))
+    with pytest.raises(
+        SingularDesign,
+        match="^augmented Gram matrix is not invertible; supply ridge > 0 for collinear designs$",
+    ):
+        best_response_check(generate_world(42), 4, [0.0], n_trials=2 * PROBE_CHUNK, n_test=6)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_certificate_trial_inside_a_chunk_raises(monkeypatch):
+    # Features this large overflow the Gram matrix, and the solve's NaN
+    # gradient fails the optimality certificate.
+    huge = np.array([[1.0], [2.0], [3.5], [4.0]]) * 1e160
+    corrupt_others(monkeypatch, PROBE_CHUNK + 2, 4, 6, huge)
+    with pytest.raises(SingularDesign, match="^normal-equation solve failed the optimality"):
+        best_response_check(generate_world(42), 4, [0.0], n_trials=2 * PROBE_CHUNK, n_test=6)

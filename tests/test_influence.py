@@ -18,9 +18,15 @@ from influence_market import (
     second_order_param_shift,
     timing_comparison,
 )
-from influence_market.influence import crossover_dimension
+from influence_market.influence import (
+    _prices,
+    _second_moment,
+    _test_terms,
+    crossover_dimension,
+    risk_change,
+)
 
-from helpers import random_regression, refit_influence
+from helpers import augment, random_regression, refit_influence
 
 
 def make_case(seed, n=40, d=2, noise=0.5):
@@ -28,6 +34,61 @@ def make_case(seed, n=40, d=2, noise=0.5):
     X, y = random_regression(rng, n, d, noise=noise)
     Xt, yt = random_regression(rng, 25, d, noise=noise)
     return Dataset(X, y), Dataset(Xt, yt)
+
+
+def assert_rounding_close(got, want):
+    """Equal to within rounding of the largest magnitude (bitwise on x86-64
+    with OpenBLAS, where each fit of a stack makes the BLAS calls it makes
+    alone)."""
+    want = np.asarray(want)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+
+class TestStackedKernel:
+    """Leading stack axes price independent fits in one call, each as alone."""
+
+    def stacked_fits(self, d, k=3, n=30, m=4):
+        rng = np.random.default_rng(d)
+        fits = []
+        for _ in range(k):
+            train, test = make_case(int(rng.integers(1 << 30)), n=n, d=d)
+            model = fit(train)
+            theta = model.params.as_vector()
+            rows = augment(train.X[:m])
+            fits.append(
+                (model.gram_inverse, theta, test.augmented(), test.y, rows, train.y[:m] - rows @ theta)
+            )
+        return [np.stack(column) for column in zip(*fits)]
+
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("method", ["exact", "first-order", "second-order"])
+    @pytest.mark.parametrize("added", [False, True])
+    def test_stack_equals_each_fit(self, d, method, added):
+        gram_inverse, theta, test_rows, test_y, rows, res = self.stacked_fits(d)
+        risk, gbar = _test_terms(test_rows, test_y, theta)
+        second_moment = _second_moment(test_rows)
+        prices = _prices(gram_inverse, rows, res, gbar, second_moment, method, added)
+        assert prices.shape == res.shape
+        for i in range(len(theta)):
+            risk_i, gbar_i = _test_terms(test_rows[i], test_y[i], theta[i])
+            second_moment_i = _second_moment(test_rows[i])
+            assert_rounding_close(risk[i], risk_i)
+            assert_rounding_close(gbar[i], gbar_i)
+            assert_rounding_close(second_moment[i], second_moment_i)
+            assert_rounding_close(
+                prices[i],
+                _prices(gram_inverse[i], rows[i], res[i], gbar_i, second_moment_i, method, added),
+            )
+
+    def test_risk_change_of_one_shift_per_fit(self):
+        gram_inverse, theta, test_rows, test_y, _, _ = self.stacked_fits(2)
+        _, gbar = _test_terms(test_rows, test_y, theta)
+        second_moment = _second_moment(test_rows)
+        shifts = np.random.default_rng(5).normal(size=theta.shape)
+        got = risk_change(gbar, second_moment, shifts)
+        assert got.shape == (len(theta),)
+        for i in range(len(theta)):
+            assert_rounding_close(got[i], risk_change(gbar[i], second_moment[i], shifts[i]))
 
 
 class TestExactInfluence:

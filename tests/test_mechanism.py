@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,9 @@ from influence_market import (
     total_risk_change,
 )
 
-from helpers import mann_kendall_z
+from influence_market.mechanism import _add_compensated
+
+from helpers import exact_fit_risk, mann_kendall_z
 
 
 def world_and_data(seed, n_stream=120, n_test=60):
@@ -214,6 +219,45 @@ class TestApproximatePaths:
             expected = base_risk - risk(test, refit.params)
             # leverage ~5% against 40 init points: h^2-sized discrepancy
             assert e.raw_influence == pytest.approx(expected, abs=0.02 * scale)
+
+
+class TestAccumulation:
+    # (run seed, iteration) of steep worlds (|slope| 2800-7400, test risk
+    # 1.8e5-1.2e6) in the mech-sequential benchmark recipe: q=500, n=1500,
+    # n_test=200, b=1, exact. Added one report at a time without
+    # compensation, the sufficient statistics put the final risk 0.9-2.1e-14
+    # off the exact rational fit; compensated, within 4.8e-16.
+    STEEP = [(6, 1364), (3, 368), (18, 116)]
+
+    @pytest.mark.parametrize("run_seed, iteration", STEEP)
+    def test_final_risk_matches_exact_rational_fit(self, run_seed, iteration):
+        s = int(np.random.SeedSequence([run_seed, 0, iteration]).generate_state(1)[0])
+        world = generate_world(s)
+        stream = report_stream(build_population(1500, 1.0), world, s + 1)
+        test = independent_test_set(world, 200, s + 2)
+        init = initialize_model(500, world.x_bounds, world.heuristic_y_bounds, s + 3)
+        want = exact_fit_risk(
+            np.vstack([init.X, stream.X]), np.concatenate([init.y, stream.y]), test.X, test.y
+        )
+        for mode in ("inclusive", "exclusive"):
+            config = config_for(world, init_count=500, mode=mode)
+            ledger = run_mechanism(stream, test, config, seed=s + 3)
+            assert float(abs(Fraction(ledger.final_risk) - want) / want) <= 4e-15
+
+    def test_compensated_sum_is_correctly_rounded(self):
+        # A large first term, as a Gram diagonal has after the
+        # initialization, then many small ones: a plain running sum loses a
+        # rounding of the total per term.
+        rng = np.random.default_rng(0)
+        addends = rng.uniform(0.0, 1.0, size=(5000, 2, 2))
+        addends[0] += 1e8
+        total, carry = addends[0].copy(), np.zeros((2, 2))
+        for addend in addends[1:]:
+            total, carry = _add_compensated(total, carry, addend)
+        exact = np.array(
+            [[math.fsum(addends[:, i, j].tolist()) for j in range(2)] for i in range(2)]
+        )
+        assert np.all(np.abs((total + carry) - exact) <= np.spacing(exact))
 
 
 class TestGuards:

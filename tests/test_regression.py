@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from influence_market import (
     point_hessian,
     risk,
 )
+from influence_market.regression import _solve_normal_equations
 
 from helpers import (
     augment,
@@ -143,6 +146,56 @@ class TestFit:
         X, y = random_regression(rng, 25, 3)
         model = fit(Dataset(X, y))
         assert np.all(np.diag(model.hessian_factorization) > 0)
+
+
+def sufficient_statistics(X, y):
+    aug = augment(X)
+    return aug.T @ aug, aug.T @ y
+
+
+class TestStackedSolve:
+    """The solver on stacked sufficient statistics gives each fit's result:
+    every fit of a stack runs the same LAPACK calls as it does alone."""
+
+    @pytest.mark.parametrize(
+        "d, ridge, stack", [(1, 0.0, (5,)), (3, 0.0, (2, 3)), (3, 0.5, (4,)), (8, 0.0, (3,))]
+    )
+    def test_stack_equals_each_fit(self, d, ridge, stack):
+        rng = np.random.default_rng(d)
+        fits = [sufficient_statistics(*random_regression(rng, 30, d)) for _ in range(np.prod(stack))]
+        gram = np.stack([g for g, _ in fits]).reshape(stack + (d + 1, d + 1))
+        moment = np.stack([m for _, m in fits]).reshape(stack + (d + 1,))
+        stacked = _solve_normal_equations(gram, moment, 30, ridge)
+        for index in np.ndindex(stack):
+            alone = _solve_normal_equations(gram[index], moment[index], 30, ridge)
+            for got, want in zip(stacked, alone):
+                np.testing.assert_array_equal(got[index], want)
+
+    def stack_with(self, bad_X, bad_y, position):
+        rng = np.random.default_rng(11)
+        fits = [sufficient_statistics(*random_regression(rng, len(bad_y), 1)) for _ in range(3)]
+        fits[position] = sufficient_statistics(bad_X, bad_y)
+        return np.stack([g for g, _ in fits]), np.stack([m for _, m in fits]), fits[position]
+
+    def assert_raises_as_alone(self, bad_X, bad_y, position, match):
+        gram, moment, (bad_gram, bad_moment) = self.stack_with(bad_X, bad_y, position)
+        with pytest.raises(SingularDesign, match=match) as alone:
+            _solve_normal_equations(bad_gram, bad_moment, len(bad_y), 0.0)
+        with pytest.raises(SingularDesign, match=re.escape(str(alone.value))):
+            _solve_normal_equations(gram, moment, len(bad_y), 0.0)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_singular_fit_in_stack_raises_its_message(self, position):
+        X = np.full((4, 1), 1.0)  # constant feature: collinear with the intercept
+        self.assert_raises_as_alone(X, np.array([1.0, 2.0, 3.0, 5.0]), position, "not invertible")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_failed_certificate_in_stack_raises_its_message(self, position):
+        X = np.array([[1.0], [2.0], [3.5], [4.0]]) * 1e160
+        self.assert_raises_as_alone(
+            X, np.array([1.0, 2.0, 3.0, 5.0]), position, "optimality certificate"
+        )
 
 
 class TestLoss:
