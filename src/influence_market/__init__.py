@@ -56,12 +56,9 @@ from .influence import (
     crossover_dimension,
     exact_influence,
     exact_influences,
-    first_order_influence,
     first_order_influences,
     influence_records,
-    second_order_influence,
     second_order_influences,
-    second_order_param_shift,
     timing_comparison,
 )
 from .mechanism import (
@@ -90,10 +87,6 @@ from .regression import (
     Dataset,
     FittedModel,
     Parameters,
-    empirical_hessian,
     fit,
-    loss,
-    loss_gradient,
-    point_hessian,
     risk,
 )

@@ -406,6 +406,9 @@ def quadratic_peak(rows: Sequence[dict]) -> float:
     """Location of the peak of a quadratic fitted to (deviation, mean_influence)."""
     c = np.array([r["deviation"] for r in rows])
     v = np.array([r["mean_influence"] for r in rows])
+    distinct = len(np.unique(c))
+    if distinct < 3:
+        raise DomainError(f"a quadratic needs at least 3 distinct deviations, got {distinct}")
     coeffs = np.polyfit(c, v, 2)
     if coeffs[0] >= 0:
         raise DomainError("fitted quadratic is not concave; no interior peak")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .agents import (
     simulate_population,
 )
 from .dataio import builtin_schema, load_csv, read_schema, write_results
-from .errors import InfluenceMarketError, InvalidValue
+from .errors import DomainError, InfluenceMarketError, InvalidValue
 from .influence import approximation_errors, crossover_dimension, timing_comparison
 from .mechanism import MechanismConfig, run_mechanism
 from .mixture import (
@@ -34,6 +35,7 @@ from .mixture import (
     correction_inclusive,
     truthful_threshold,
 )
+from .regression import fit
 
 
 def _number_list(text: str, convert, flag: str) -> list:
@@ -100,34 +102,37 @@ def _write_manifest(args, out_dir: Path) -> None:
     write_results(manifest, out_dir / "run_manifest.txt", fmt="key-value-summary")
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise DomainError(f"--trials must be at least 1, got {trials}")
+
+
 def cmd_approx_error(args) -> int:
+    _check_trials(args.trials)
     if args.n_train < 3:
         raise InfluenceMarketError("n_train must be at least d + 2")
-    rows = []
-    for order in ("first", "second"):
-        l1s, rels, l2s = [], [], []
-        for trial in range(args.trials):
-            train, test = _resolve_dataset(args, args.n_train, args.n_test, args.seed + trial)
-            if args.n_train < train.dimension + 2:
-                raise InfluenceMarketError(
-                    f"n_train must be at least d + 2 = {train.dimension + 2}"
-                )
-            report = approximation_errors(train, test, order=order, ridge=args.ridge)
-            l1s.append(report.l1)
-            rels.append(report.relative_l1)
-            l2s.append(report.l2)
-        rows.append(
-            {
-                "dataset": args.dataset,
-                "order": order,
-                "l1": float(np.mean(l1s)),
-                "relative_l1": float(np.mean(rels)),
-                "l2": float(np.mean(l2s)),
-                "n_train": args.n_train,
-                "n_test": args.n_test,
-                "trials": args.trials,
-            }
-        )
+    orders = ("first", "second")
+    reports = {order: [] for order in orders}
+    for trial in range(args.trials):
+        train, test = _resolve_dataset(args, args.n_train, args.n_test, args.seed + trial)
+        if args.n_train < train.dimension + 2:
+            raise InfluenceMarketError(f"n_train must be at least d + 2 = {train.dimension + 2}")
+        model = fit(train, ridge=args.ridge)
+        for order in orders:
+            reports[order].append(approximation_errors(train, test, order=order, model=model))
+    rows = [
+        {
+            "dataset": args.dataset,
+            "order": order,
+            "l1": float(np.mean([r.l1 for r in reports[order]])),
+            "relative_l1": float(np.mean([r.relative_l1 for r in reports[order]])),
+            "l2": float(np.mean([r.l2 for r in reports[order]])),
+            "n_train": args.n_train,
+            "n_test": args.n_test,
+            "trials": args.trials,
+        }
+        for order in orders
+    ]
     write_results(rows, args.out_dir / "approx_error.csv")
     _write_manifest(args, args.out_dir)
     for row in rows:
@@ -138,37 +143,37 @@ def cmd_approx_error(args) -> int:
     return 0
 
 
-def _mechanism_run_sums(world, q, n, b, mode, seed, n_test, ridge):
+def _mechanism_run_sums(world, q, n, b, seed, n_test, ridge):
+    """Summed raw influence of one stream under the inclusive and the exclusive
+    mode, on the same stream and test set, and the inclusive run's total drop
+    in test risk."""
     profiles = build_population(n, 1.0)
     stream = report_stream(profiles, world, seed)
     test = independent_test_set(world, n_test, seed + 10_000)
     config = MechanismConfig(
         batch_size=b,
-        mode=mode,
+        mode="inclusive",
         init_count=q,
         init_x_bounds=world.x_bounds,
         init_y_bounds=world.heuristic_y_bounds,
         influence_method="exact",
         ridge=ridge,
     )
-    ledger = run_mechanism(stream, test, config, seed=seed + 20_000)
-    return ledger.sum_raw, ledger.initial_risk - ledger.final_risk
+    inclusive = run_mechanism(stream, test, config, seed=seed + 20_000)
+    exclusive = run_mechanism(stream, test, replace(config, mode="exclusive"), seed=seed + 20_000)
+    return inclusive.sum_raw, exclusive.sum_raw, inclusive.initial_risk - inclusive.final_risk
 
 
 def cmd_batch_ratio(args) -> int:
+    _check_trials(args.trials)
     batch_sizes = _number_list(args.batch_sizes, int, "--batch-sizes")
     rows = []
     for b in batch_sizes:
         inc_sums, exc_sums, deltas = [], [], []
         for trial in range(args.trials):
             world = generate_world(args.seed + 1000 * trial)
-            s_inc, delta = _mechanism_run_sums(
-                world, args.init_count, args.n, b, "inclusive",
-                args.seed + trial, args.n_test, args.ridge,
-            )
-            s_exc, _ = _mechanism_run_sums(
-                world, args.init_count, args.n, b, "exclusive",
-                args.seed + trial, args.n_test, args.ridge,
+            s_inc, s_exc, delta = _mechanism_run_sums(
+                world, args.init_count, args.n, b, args.seed + trial, args.n_test, args.ridge
             )
             inc_sums.append(s_inc)
             exc_sums.append(s_exc)
@@ -198,6 +203,7 @@ def cmd_batch_ratio(args) -> int:
 
 
 def cmd_influence_time(args) -> int:
+    _check_trials(args.trials)
     n = args.n_batches * args.batch_size
     traces = []
     for trial in range(args.trials):

@@ -28,6 +28,12 @@ stack of independent fits, as the best-response probe does for a chunk of
 trials. Each fit of a stack, and a lone fit, gets the BLAS calls that
 unstacked code would make for it, so it rounds the same way.
 
+There is no per-point pricing API: one point's price is the plural kernel's
+on a one-row ``Dataset.subset``. Only the criterion-10 strawman
+(:func:`_time_second_order`) evaluates the two-term shift one training point
+and one test point at a time, since that per-pair cost is what the timing
+comparison measures. An empty test set raises ``EmptyDataset``.
+
 Positive influence means the point was helpful: removing it raises test risk.
 """
 
@@ -39,18 +45,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidValue, SingularDesign
-from .regression import (
-    DataPoint,
-    Dataset,
-    FittedModel,
-    _check_params_dim,
-    fit,
-    loss_gradient,
-    point_hessian,
-    residuals,
-    risk,
-)
+from .errors import EmptyDataset, IndexOutOfRange, InvalidValue, SingularDesign
+from .regression import Dataset, FittedModel, _check_params_dim, fit, residuals, risk
 
 
 @dataclass(frozen=True)
@@ -161,6 +157,8 @@ def _prices(
 
 def _test_side(model: FittedModel, test: Dataset):
     """gbar and S of ``test`` at the model's parameters."""
+    if len(test) == 0:
+        raise EmptyDataset("influence on an empty test set is undefined")
     _check_params_dim(model.params, test.dimension)
     test_rows = test.augmented()
     _, gbar = _test_terms(test_rows, test.y, model.params.as_vector())
@@ -234,47 +232,11 @@ def exact_influences(
     return _removal_prices(model, train, test, "exact", idx)
 
 
-def first_order_influence(model: FittedModel, z_j: DataPoint, test: Dataset) -> float:
-    """First-order influence of one point; see :func:`first_order_influences`."""
-    return float(first_order_influences(model, Dataset.from_points([z_j]), test)[0])
-
-
 def first_order_influences(model: FittedModel, points: Dataset, test: Dataset) -> np.ndarray:
     """First-order influence of each point in ``points``, vectorized:
     (1/n) grad_test.T H^{-1} grad_j, test-averaged, the linear term of the
     risk change at the one-term shift."""
     return _removal_prices(model, points, test, "first-order")
-
-
-def second_order_param_shift(model: FittedModel, z_j: DataPoint) -> np.ndarray:
-    """Two-term parameter shift from removing (up-weighting by -1/n) a point.
-
-    (1/n) H^{-1} grad + (1/n^2) H^{-1} H_j H^{-1} grad, in augmented space.
-    """
-    n = model.n_train
-    grad = loss_gradient(z_j, model.params)
-    first = model.hessian_inverse_dot(grad) / n
-    second = model.hessian_inverse_dot(point_hessian(z_j) @ first) / n
-    return first + second
-
-
-def second_order_influence(
-    model: FittedModel,
-    z_j: DataPoint,
-    test: Dataset,
-    shift: Optional[np.ndarray] = None,
-) -> float:
-    """Second-order influence: quadratic test-loss expansion at the shift.
-
-    Averages (grad_test + 0.5 * H_test @ shift) . shift over the test set.
-    Passing ``shift`` explicitly (e.g. the true leave-one-out parameter
-    difference) evaluates the same expansion at that shift; with the true
-    shift it reproduces the exact influence because squared loss is quadratic.
-    """
-    if shift is None:
-        return float(second_order_influences(model, Dataset.from_points([z_j]), test)[0])
-    gbar, second_moment = _test_side(model, test)
-    return float(risk_change(gbar, second_moment, np.asarray(shift, dtype=np.float64)))
 
 
 def second_order_influences(model: FittedModel, points: Dataset, test: Dataset) -> np.ndarray:
@@ -371,11 +333,19 @@ def _time_second_order(train: Dataset, test: Dataset) -> float:
     """
     start = time.perf_counter()
     model = fit(train)
+    n = model.n_train
+    theta = model.params.as_vector()
+    train_aug = train.augmented()
     test_aug = test.augmented()
     test_res = residuals(test, model.params)
     total = 0.0
-    for j in range(len(train)):
-        shift = second_order_param_shift(model, train.point(j))
+    for j in range(n):
+        # (1/n) H^{-1} grad + (1/n^2) H^{-1} H_j H^{-1} grad, with H^{-1} = (n/2) G^{-1}
+        x = train_aug[j]
+        grad = -2.0 * (train.y[j] - x @ theta) * x
+        first = (n / 2.0) * (model.gram_inverse @ grad) / n
+        second = (n / 2.0) * (model.gram_inverse @ (2.0 * np.outer(x, x) @ first)) / n
+        shift = first + second
         acc = 0.0
         for t in range(len(test)):
             grad_t = -2.0 * test_res[t] * test_aug[t]

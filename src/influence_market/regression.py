@@ -1,12 +1,14 @@
 """
-Linear regression substrate: datasets, closed-form fitting, losses, gradients
-and Hessians in the augmented (weights, bias) parameter space.
+Linear regression substrate: datasets, closed-form fitting, residuals and
+test risk in the augmented (weights, bias) parameter space.
 
-The model is y ~ w @ x + b with squared-residual loss (no 1/2 factor). All
-derivative quantities live in the augmented space of dimension d + 1, where a
-feature vector x is extended to x~ = [x, 1] so the bias is an ordinary
-coordinate. Fitting is done by normal equations through a Cholesky
-factorization; there is no iterative training anywhere in this package.
+The model is y ~ w @ x + b with squared-residual loss (no 1/2 factor). The
+parameters live in the augmented space of dimension d + 1, where a feature
+vector x is extended to x~ = [x, 1] so the bias is an ordinary coordinate.
+Fitting is done by normal equations through a Cholesky factorization; there
+is no iterative training anywhere in this package. A point's loss gradient
+-2 r x~ and Hessian 2 x~ x~.T appear only inside the influence module's
+kernels, which take whole arrays of rows.
 
 For squared loss a fit depends on the data only through the augmented Gram
 matrix X~.T X~ and the moment vector X~.T y. ``fit`` forms both from a
@@ -169,17 +171,6 @@ class Dataset:
             object.__setattr__(self, "_augmented", aug)
         return self._augmented
 
-    def point(self, j: int) -> DataPoint:
-        if not 0 <= j < len(self):
-            raise IndexOutOfRange(f"index {j} outside dataset of size {len(self)}")
-        return DataPoint(
-            self.X[j].copy(), float(self.y[j]), self.agent_ids[j], int(self.arrival_index[j])
-        )
-
-    @property
-    def points(self) -> list:
-        return [self.point(j) for j in range(len(self))]
-
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
         ids = [self.agent_ids[i] for i in indices]
@@ -269,16 +260,6 @@ class FittedModel:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def hessian(self) -> np.ndarray:
-        """Empirical-risk Hessian (2/n) * (X~.T @ X~ + ridge * I)."""
-        L = self.hessian_factorization
-        return L @ L.T
-
-    def hessian_inverse_dot(self, v: np.ndarray) -> np.ndarray:
-        """H^{-1} @ v using the stored Gram inverse (H = (2/n) * Gram)."""
-        return (self.n_train / 2.0) * (self.gram_inverse @ v)
 
 
 def _check_params_dim(params: Parameters, d: int) -> None:
@@ -375,13 +356,6 @@ def _solve_normal_equations(gram: np.ndarray, moment: np.ndarray, n: int, ridge:
     return np.ascontiguousarray(theta), gram_inverse, chol_gram
 
 
-def loss(z: DataPoint, params: Parameters) -> float:
-    """Squared residual (y - (w @ x + b))**2 of one point."""
-    _check_params_dim(params, z.dimension)
-    residual = z.y - (params.weights @ z.x + params.bias)
-    return float(residual * residual)
-
-
 def risk(data: Dataset, params: Parameters) -> float:
     """Mean squared residual over a dataset.
 
@@ -395,35 +369,6 @@ def risk(data: Dataset, params: Parameters) -> float:
     _check_params_dim(params, data.dimension)
     residuals = data.y - data.X @ params.weights - params.bias
     return float(np.mean(residuals * residuals))
-
-
-def loss_gradient(z: DataPoint, params: Parameters) -> np.ndarray:
-    """Gradient of the squared-residual loss in augmented space.
-
-    Returns -2 * residual * x~ where x~ = [x, 1], so the last component is
-    the bias derivative.
-    """
-    _check_params_dim(params, z.dimension)
-    residual = z.y - (params.weights @ z.x + params.bias)
-    aug = np.concatenate([z.x, [1.0]])
-    return -2.0 * residual * aug
-
-
-def point_hessian(z: DataPoint) -> np.ndarray:
-    """Per-point loss Hessian 2 * x~ x~.T (constant in the parameters)."""
-    aug = np.concatenate([z.x, [1.0]])
-    return 2.0 * np.outer(aug, aug)
-
-
-def empirical_hessian(data: Dataset) -> np.ndarray:
-    """Mean of per-point Hessians, (2/n) * X~.T @ X~.
-
-    Symmetric by construction and positive semidefinite.
-    """
-    if len(data) == 0:
-        raise EmptyDataset("empirical Hessian of an empty dataset is undefined")
-    aug = data.augmented()
-    return (2.0 / len(data)) * (aug.T @ aug)
 
 
 def residuals(data: Dataset, params: Parameters) -> np.ndarray:

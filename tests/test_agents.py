@@ -309,6 +309,12 @@ class TestBestResponse:
         assert abs(best) <= 0.25
         assert abs(quadratic_peak(table)) <= 0.25
 
+    @pytest.mark.parametrize("deviations", [[0.0, 1.0], [0.0, 1.0, 1.0, 0.0], [0.5]])
+    def test_quadratic_peak_needs_three_deviations(self, deviations):
+        table = [{"deviation": c, "mean_influence": -c * c} for c in deviations]
+        with pytest.raises(DomainError, match="at least 3 distinct deviations"):
+            quadratic_peak(table)
+
     def test_monotone_decay(self):
         world = generate_world(42)
         table = best_response_check(

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from influence_market import read_results
+from influence_market import (
+    approximation_errors,
+    build_population,
+    generate_world,
+    independent_test_set,
+    read_results,
+    report_stream,
+)
 from influence_market.cli import main
 
 
@@ -33,6 +40,35 @@ class TestApproxError:
         rows_a = read_results(tmp_path / "a" / "approx_error.csv")
         rows_b = read_results(tmp_path / "b" / "approx_error.csv")
         assert rows_a == rows_b
+
+    def test_rows_are_means_of_library_reports(self, tmp_path):
+        # each trial draws a fresh linear world from seed + trial
+        seed, trials, n_train, n_test = 4, 3, 120, 30
+        code = run(
+            "approx-error", "--n-train", n_train, "--n-test", n_test,
+            "--trials", trials, "--seed", seed, "--ridge", 0.25, "--out-dir", tmp_path,
+        )
+        assert code == 0
+        reports = {"first": [], "second": []}
+        for trial in range(trials):
+            world = generate_world(seed + trial)
+            train = report_stream(build_population(n_train, 1.0), world, seed + trial + 1)
+            test = independent_test_set(world, n_test, seed + trial + 2)
+            for order in reports:
+                reports[order].append(approximation_errors(train, test, order, ridge=0.25))
+        rows = read_results(tmp_path / "approx_error.csv")
+        assert [r["order"] for r in rows] == ["first", "second"]
+        for row in rows:
+            for key in ("l1", "relative_l1", "l2"):
+                want = float(np.mean([getattr(r, key) for r in reports[row["order"]]]))
+                assert row[key] == want
+
+    def test_empty_test_set_exits_with_one_error_line(self, tmp_path, capsys):
+        code = run("approx-error", "--n-train", 50, "--n-test", 0, "--out-dir", tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "empty test set" in err[0]
 
     def test_too_small_n_train_fails(self, tmp_path, capsys):
         code = run("approx-error", "--n-train", 2, "--out-dir", tmp_path)
@@ -195,6 +231,17 @@ class TestSimulate:
             )
             outs.append(read_results(tmp_path / sub / "ledger.csv"))
         assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command", ["approx-error", "batch-ratio", "influence-time"])
+@pytest.mark.parametrize("trials", [0, -1])
+def test_trials_below_one_exit_with_one_error_line(command, trials, tmp_path, capsys):
+    code = run(command, "--trials", trials, "--out-dir", tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"--trials must be at least 1, got {trials}" in err[0]
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(

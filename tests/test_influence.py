@@ -4,29 +4,32 @@ import pytest
 from influence_market import (
     Dataset,
     DimensionMismatch,
+    EmptyDataset,
     IndexOutOfRange,
+    Parameters,
     SingularDesign,
     approximation_errors,
     exact_influence,
     exact_influences,
-    first_order_influence,
     first_order_influences,
     fit,
     influence_records,
-    second_order_influence,
+    risk,
     second_order_influences,
-    second_order_param_shift,
     timing_comparison,
 )
 from influence_market.influence import (
     _prices,
+    _rank_one_shifts,
     _second_moment,
+    _test_side,
     _test_terms,
     crossover_dimension,
     risk_change,
 )
+from influence_market.regression import residuals
 
-from helpers import augment, random_regression, refit_influence
+from helpers import augment, central_difference_gradient, random_regression, refit_influence
 
 
 def make_case(seed, n=40, d=2, noise=0.5):
@@ -34,6 +37,21 @@ def make_case(seed, n=40, d=2, noise=0.5):
     X, y = random_regression(rng, n, d, noise=noise)
     Xt, yt = random_regression(rng, 25, d, noise=noise)
     return Dataset(X, y), Dataset(Xt, yt)
+
+
+def one_point(x, y):
+    return Dataset(np.atleast_2d(x), [y])
+
+
+def on_plane_point(model, x):
+    """A point on the fitted hyperplane: zero residual under ``model``."""
+    return one_point(x, float(model.params.predict(x[None, :])[0]))
+
+
+def shift_of(model, points, method):
+    """Parameter shift, one column per point, from removing each of ``points``."""
+    rows, res = points.augmented(), residuals(points, model.params)
+    return _rank_one_shifts(model.gram_inverse, rows, res, method, added=False)
 
 
 def assert_rounding_close(got, want):
@@ -89,6 +107,67 @@ class TestStackedKernel:
         assert got.shape == (len(theta),)
         for i in range(len(theta)):
             assert_rounding_close(got[i], risk_change(gbar[i], second_moment[i], shifts[i]))
+
+
+class TestTestTerms:
+    """gbar from ``_test_terms`` and S from ``_second_moment`` are the
+    gradient and half the Hessian of the test risk, against finite differences
+    of ``regression.risk``."""
+
+    def risk_of(self, data):
+        return lambda t: risk(data, Parameters(t[:-1], t[-1]))
+
+    def test_zero_residual_gradient(self):
+        _, gbar = _test_terms(augment([[1.0]]), np.array([1.0]), np.array([1.0, 0.0]))
+        np.testing.assert_array_equal(gbar, [0.0, 0.0])
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(21)
+        for n in (1, 1, 1, 1, 1, 4, 4, 4, 4, 4):
+            data = Dataset(rng.normal(size=(n, 3)), rng.normal(size=n))
+            theta = rng.normal(size=4)
+            expected = central_difference_gradient(self.risk_of(data), theta, step=1e-6)
+            _, got = _test_terms(data.augmented(), data.y, theta)
+            np.testing.assert_allclose(got, expected, atol=1e-5)
+
+    def test_second_moment_small_cases(self):
+        for x, point_hessian in ((0.0, [[0.0, 0.0], [0.0, 2.0]]), (1.0, [[2.0, 2.0], [2.0, 2.0]])):
+            np.testing.assert_allclose(2.0 * _second_moment(augment([[x]])), point_hessian)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_second_moment_matches_risk_differences(self, n):
+        rng = np.random.default_rng(23)
+        data = Dataset(rng.normal(size=(n, 2)), rng.normal(size=n))
+        theta = rng.normal(size=3)
+        f = self.risk_of(data)
+        H = np.array(
+            [
+                central_difference_gradient(
+                    lambda t: central_difference_gradient(f, t, step=1e-3)[i], theta, step=1e-3
+                )
+                for i in range(3)
+            ]
+        )
+        np.testing.assert_allclose(2.0 * _second_moment(data.augmented()), H, atol=1e-5)
+
+    def test_second_moment_single_and_duplicate(self):
+        point_hessian = 2.0 * np.array([[1.5 * 1.5, 1.5], [1.5, 1.0]])
+        single = augment([[1.5]])
+        np.testing.assert_allclose(2.0 * _second_moment(single), point_hessian)
+        double = augment([[1.5], [1.5]])
+        np.testing.assert_allclose(2.0 * _second_moment(double), point_hessian)
+
+    def test_second_moment_matches_matrix_oracle(self):
+        rng = np.random.default_rng(31)
+        aug = augment(rng.normal(size=(40, 3)))
+        expected = (1.0 / 40) * np.einsum("ni,nj->ij", aug, aug)
+        np.testing.assert_allclose(_second_moment(aug), expected, atol=1e-12)
+
+    def test_second_moment_symmetric_psd(self):
+        rng = np.random.default_rng(33)
+        S = _second_moment(augment(rng.normal(size=(30, 4))))
+        np.testing.assert_array_equal(S, S.T)
+        assert np.min(np.linalg.eigvalsh(S)) >= -1e-12
 
 
 class TestExactInfluence:
@@ -171,16 +250,30 @@ class TestExactInfluence:
         with pytest.raises(DimensionMismatch):
             second_order_influences(model, points, test)
 
+    @pytest.mark.parametrize(
+        "price",
+        [
+            lambda train, test, model: exact_influences(train, test, model=model),
+            lambda train, test, model: first_order_influences(model, train, test),
+            lambda train, test, model: second_order_influences(model, train, test),
+            lambda train, test, model: influence_records(train, test, model=model),
+            lambda train, test, model: approximation_errors(train, test, model=model),
+        ],
+        ids=["exact", "first", "second", "records", "approximation_errors"],
+    )
+    def test_empty_test_set_raises(self, price):
+        train, _ = make_case(8)
+        empty = Dataset(np.empty((0, 2)), np.empty(0))
+        with pytest.raises(EmptyDataset, match="empty test set"):
+            price(train, empty, fit(train))
+
 
 class TestFirstOrder:
     def test_zero_residual_point(self):
         train, test = make_case(11)
         model = fit(train)
-        x_new = np.array([0.3, -0.4])
-        y_new = float(model.params.predict(x_new[None, :])[0])
-        from influence_market import DataPoint
-
-        assert first_order_influence(model, DataPoint(x_new, y_new), test) == 0.0
+        point = on_plane_point(model, np.array([0.3, -0.4]))
+        assert first_order_influences(model, point, test)[0] == 0.0
 
     def test_sums_to_zero_over_training_set(self):
         train, test = make_case(13, n=80, d=3)
@@ -196,38 +289,35 @@ class TestFirstOrder:
             values = first_order_influences(model, train, single)
             assert abs(values.sum()) <= 1e-8 * max(np.max(np.abs(values)), 1e-300)
 
-    def test_plural_matches_scalar(self):
+    def test_plural_matches_one_row_subset(self):
         train, test = make_case(19)
         model = fit(train)
         plural = first_order_influences(model, train, test)
         for j in range(0, len(train), 7):
             assert plural[j] == pytest.approx(
-                first_order_influence(model, train.point(j), test), rel=1e-12, abs=1e-18
+                first_order_influences(model, train.subset([j]), test)[0], rel=1e-12, abs=1e-18
             )
 
 
 class TestSecondOrderShift:
+    """The two-term shift (1/n) H^{-1} grad + (1/n^2) H^{-1} H_j H^{-1} grad
+    of ``_rank_one_shifts(..., "second-order", added=False)``."""
+
     def test_zero_residual_point_zero_shift(self):
         train, _ = make_case(23)
         model = fit(train)
-        x_new = np.array([0.1, 0.2])
-        y_new = float(model.params.predict(x_new[None, :])[0])
-        from influence_market import DataPoint
-
-        shift = second_order_param_shift(model, DataPoint(x_new, y_new))
-        np.testing.assert_array_equal(shift, np.zeros(3))
+        point = on_plane_point(model, np.array([0.1, 0.2]))
+        np.testing.assert_array_equal(shift_of(model, point, "second-order"), np.zeros((3, 1)))
 
     def test_shift_norm_scales_inverse_n(self):
         # doubling n should roughly halve the shift for a fixed probe point
-        from influence_market import DataPoint
-
         rng = np.random.default_rng(29)
-        probe = DataPoint(np.array([0.5]), 2.0)
+        probe = one_point([0.5], 2.0)
         X, y = random_regression(rng, 4000, 1, noise=0.5)
         norms = {}
         for n in (2000, 4000):
             model = fit(Dataset(X[:n], y[:n]))
-            norms[n] = np.linalg.norm(second_order_param_shift(model, probe))
+            norms[n] = np.linalg.norm(shift_of(model, probe, "second-order"))
         ratio = norms[2000] / norms[4000]
         assert ratio == pytest.approx(2.0, rel=0.15)
 
@@ -246,11 +336,8 @@ class TestSecondOrderShift:
                 fit(train.without_index(j)).params.as_vector()
                 - model.params.as_vector()
             )
-            two_term = second_order_param_shift(model, train.point(j))
-            n_model = model.n_train
-            grad = -2.0 * (y[j] - model.params.predict(X[j : j + 1])[0])
-            aug = np.concatenate([X[j], [1.0]])
-            one_term = model.hessian_inverse_dot(grad * aug) / n_model
+            two_term = shift_of(model, train.subset([j]), "second-order")[:, 0]
+            one_term = shift_of(model, train.subset([j]), "first-order")[:, 0]
             err_two = np.linalg.norm(true_shift - two_term)
             err_one = np.linalg.norm(true_shift - one_term)
             if err_two <= err_one + 1e-15:
@@ -262,34 +349,32 @@ class TestSecondOrderInfluence:
     def test_zero_residual_point(self):
         train, test = make_case(37)
         model = fit(train)
-        x_new = np.array([-0.2, 0.8])
-        y_new = float(model.params.predict(x_new[None, :])[0])
-        from influence_market import DataPoint
-
-        assert second_order_influence(model, DataPoint(x_new, y_new), test) == 0.0
+        point = on_plane_point(model, np.array([-0.2, 0.8]))
+        assert second_order_influences(model, point, test)[0] == 0.0
 
     def test_exact_under_true_shift(self):
-        # squared loss is quadratic: the expansion at the true leave-one-out
+        # squared loss is quadratic: the risk change at the true leave-one-out
         # shift reproduces the exact influence
         train, test = make_case(41, n=30, d=2)
         model = fit(train)
+        gbar, second_moment = _test_side(model, test)
         for j in range(0, len(train), 5):
             true_shift = (
                 fit(train.without_index(j)).params.as_vector()
                 - model.params.as_vector()
             )
-            expanded = second_order_influence(model, train.point(j), test, shift=true_shift)
+            expanded = float(risk_change(gbar, second_moment, true_shift))
             assert expanded == pytest.approx(
                 exact_influence(train, j, test, model=model), abs=1e-10
             )
 
-    def test_plural_matches_scalar(self):
+    def test_plural_matches_one_row_subset(self):
         train, test = make_case(43)
         model = fit(train)
         plural = second_order_influences(model, train, test)
         for j in range(0, len(train), 7):
             assert plural[j] == pytest.approx(
-                second_order_influence(model, train.point(j), test), rel=1e-12, abs=1e-18
+                second_order_influences(model, train.subset([j]), test)[0], rel=1e-12, abs=1e-18
             )
 
 

@@ -11,11 +11,9 @@ from influence_market import (
     MechanismConfig,
     exact_influence,
     exact_influences,
-    first_order_influence,
     first_order_influences,
     fit,
     run_mechanism,
-    second_order_influence,
     second_order_influences,
 )
 from influence_market.influence import risk_change
@@ -99,20 +97,20 @@ def pricing_case(seed, n, d, ridge):
     extra=st.integers(2, 30),
     ridge=st.sampled_from([0.0, 0.5]),
 )
-def test_plural_prices_equal_scalar_forms(seed, d, extra, ridge):
+def test_plural_prices_equal_one_row_prices(seed, d, extra, ridge):
     train, test, model = pricing_case(seed, d + 1 + extra, d, ridge)
     exact = exact_influences(train, test, model=model)
     first = first_order_influences(model, train, test)
     second = second_order_influences(model, train, test)
     for j in range(len(train)):
-        point = train.point(j)
+        point = train.subset([j])
         refit = exact_influence(train, j, test, model=model, method="refit")
         assert exact[j] == pytest.approx(refit, rel=1e-7, abs=1e-10)
         assert first[j] == pytest.approx(
-            first_order_influence(model, point, test), rel=1e-9, abs=1e-14
+            first_order_influences(model, point, test)[0], rel=1e-9, abs=1e-14
         )
         assert second[j] == pytest.approx(
-            second_order_influence(model, point, test), rel=1e-9, abs=1e-14
+            second_order_influences(model, point, test)[0], rel=1e-9, abs=1e-14
         )
 
 

@@ -10,21 +10,13 @@ from influence_market import (
     EmptyDataset,
     Parameters,
     SingularDesign,
-    empirical_hessian,
     fit,
-    loss,
-    loss_gradient,
-    point_hessian,
     risk,
 )
+from influence_market.influence import _test_terms
 from influence_market.regression import _solve_normal_equations
 
-from helpers import (
-    augment,
-    central_difference_gradient,
-    lstsq_fit,
-    random_regression,
-)
+from helpers import augment, lstsq_fit, random_regression
 
 
 class TestDataset:
@@ -36,10 +28,10 @@ class TestDataset:
         data = Dataset.from_points(points)
         assert len(data) == 2
         assert data.dimension == 2
-        back = data.points
-        assert back[0].agent_id == "a"
-        assert back[1].y == 6.0
-        np.testing.assert_array_equal(back[0].x, [1.0, 2.0])
+        assert data.agent_ids == ("a", "b")
+        assert data.y[1] == 6.0
+        np.testing.assert_array_equal(data.X[0], [1.0, 2.0])
+        np.testing.assert_array_equal(data.arrival_index, [0, 1])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -131,15 +123,13 @@ class TestFit:
             assert risk(data, perturbed) >= base - 1e-9
 
     def test_stationarity(self):
-        # training gradients sum to ~0 at the optimum
+        # the mean training-loss gradient gbar is ~0 at the optimum
         rng = np.random.default_rng(11)
         X, y = random_regression(rng, 60, 4)
         data = Dataset(X, y)
         model = fit(data)
-        total = np.zeros(5)
-        for j in range(len(data)):
-            total += loss_gradient(data.point(j), model.params)
-        assert np.linalg.norm(total) <= 1e-8 * len(data)
+        _, gbar = _test_terms(data.augmented(), data.y, model.params.as_vector())
+        assert np.linalg.norm(gbar) <= 1e-8
 
     def test_hessian_factorization_positive_pivots(self):
         rng = np.random.default_rng(5)
@@ -199,13 +189,18 @@ class TestStackedSolve:
 
 
 class TestLoss:
+    """A point's loss is the risk of the one-point dataset holding it."""
+
+    def one_point(self, x, y):
+        return Dataset(np.atleast_2d(x), [y])
+
     def test_zero_residual(self):
         params = Parameters(np.array([2.0]), 1.0)
-        assert loss(DataPoint(np.array([3.0]), 7.0), params) == 0.0
+        assert risk(self.one_point([3.0], 7.0), params) == 0.0
 
     def test_squared_residual(self):
         params = Parameters(np.array([1.0]), 0.0)
-        assert loss(DataPoint(np.array([0.0]), 2.0), params) == pytest.approx(4.0)
+        assert risk(self.one_point([0.0], 2.0), params) == pytest.approx(4.0)
 
     def test_matches_direct_arithmetic(self):
         rng = np.random.default_rng(2)
@@ -215,13 +210,13 @@ class TestLoss:
             w = rng.normal(size=3)
             b = rng.normal()
             expected = (y - (w @ x + b)) ** 2
-            assert loss(DataPoint(x, y), Parameters(w, b)) == pytest.approx(
+            assert risk(self.one_point(x, y), Parameters(w, b)) == pytest.approx(
                 expected, rel=1e-12
             )
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            loss(DataPoint(np.array([1.0, 2.0]), 0.0), Parameters(np.array([1.0]), 0.0))
+            risk(self.one_point([1.0, 2.0], 0.0), Parameters(np.array([1.0]), 0.0))
 
 
 class TestRisk:
@@ -240,76 +235,10 @@ class TestRisk:
         X = rng.normal(size=(100, 2))
         y = rng.normal(size=100)
         params = Parameters(rng.normal(size=2), rng.normal())
-        expected = sum(loss(DataPoint(X[i], y[i]), params) for i in range(100)) / 100
+        w, b = params.weights, params.bias
+        expected = sum((y[i] - (w @ X[i] + b)) ** 2 for i in range(100)) / 100
         assert risk(Dataset(X, y), params) == pytest.approx(expected, rel=1e-12)
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
             risk(Dataset(np.empty((0, 1)), np.empty(0)), Parameters(np.array([0.0]), 0.0))
-
-
-class TestGradientsAndHessians:
-    def test_zero_residual_gradient(self):
-        params = Parameters(np.array([1.0]), 0.0)
-        np.testing.assert_array_equal(
-            loss_gradient(DataPoint(np.array([1.0]), 1.0), params), [0.0, 0.0]
-        )
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(21)
-        for _ in range(10):
-            z = DataPoint(rng.normal(size=3), rng.normal())
-            theta = rng.normal(size=4)
-
-            def f(t):
-                return loss(z, Parameters(t[:-1], t[-1]))
-
-            expected = central_difference_gradient(f, theta, step=1e-6)
-            got = loss_gradient(z, Parameters(theta[:-1], theta[-1]))
-            np.testing.assert_allclose(got, expected, atol=1e-5)
-
-    def test_point_hessian_small_cases(self):
-        np.testing.assert_allclose(
-            point_hessian(DataPoint(np.array([0.0]), 0.0)), [[0.0, 0.0], [0.0, 2.0]]
-        )
-        np.testing.assert_allclose(
-            point_hessian(DataPoint(np.array([1.0]), 0.0)), [[2.0, 2.0], [2.0, 2.0]]
-        )
-
-    def test_point_hessian_matches_gradient_differences(self):
-        rng = np.random.default_rng(23)
-        z = DataPoint(rng.normal(size=2), rng.normal())
-        theta = rng.normal(size=3)
-        step = 1e-6
-        H = np.zeros((3, 3))
-        for i in range(3):
-            up = theta.copy()
-            dn = theta.copy()
-            up[i] += step
-            dn[i] -= step
-            gu = loss_gradient(z, Parameters(up[:-1], up[-1]))
-            gd = loss_gradient(z, Parameters(dn[:-1], dn[-1]))
-            H[:, i] = (gu - gd) / (2 * step)
-        np.testing.assert_allclose(point_hessian(z), H, atol=1e-5)
-
-    def test_empirical_hessian_single_and_duplicate(self):
-        z = DataPoint(np.array([1.5]), 0.0)
-        single = Dataset(np.array([[1.5]]), np.array([0.0]))
-        np.testing.assert_allclose(empirical_hessian(single), point_hessian(z))
-        double = Dataset(np.array([[1.5], [1.5]]), np.array([0.0, 1.0]))
-        np.testing.assert_allclose(empirical_hessian(double), point_hessian(z))
-
-    def test_empirical_hessian_matches_matrix_oracle(self):
-        rng = np.random.default_rng(31)
-        X = rng.normal(size=(40, 3))
-        data = Dataset(X, rng.normal(size=40))
-        aug = augment(X)
-        expected = (2.0 / 40) * np.einsum("ni,nj->ij", aug, aug)
-        np.testing.assert_allclose(empirical_hessian(data), expected, atol=1e-12)
-
-    def test_empirical_hessian_symmetric_psd(self):
-        rng = np.random.default_rng(33)
-        data = Dataset(rng.normal(size=(30, 4)), rng.normal(size=30))
-        H = empirical_hessian(data)
-        np.testing.assert_array_equal(H, H.T)
-        assert np.min(np.linalg.eigvalsh(H)) >= -1e-12
