@@ -14,7 +14,6 @@ from influence_market import (
     exact_influences,
     first_order_influences,
     fit,
-    influence_records,
     risk,
     second_order_influences,
     build_population,
@@ -57,12 +56,13 @@ print(f"\nsum of first-order estimates:  {first.sum():+.2e}  (zero by constructi
 print(f"sum of second-order estimates: {second.sum():+.2e}")
 print(f"sum of exact influences:       {exact.sum():+.2e}")
 
-for order in ("first", "second"):
-    report = approximation_errors(train, test, order=order, model=model)
+for order, report in approximation_errors(train, test, model=model).items():
     print(
         f"\n{order}-order error vs exact: L1={report.l1:.3e}  "
         f"relative L1={report.relative_l1:.3e}  L2={report.l2:.3e}"
     )
 
-records = influence_records(train, test, model=model)
-print(f"\nbuilt {len(records)} per-point records (exact, first, second) for export")
+# One point's exact price is the plural kernel's on that index alone.
+j = int(np.argmax(exact))
+alone = exact_influences(train, test, model=model, indices=[j])[0]
+print(f"\nmost valuable point priced alone: {alone:+.3e} (full pass: {exact[j]:+.3e})")

@@ -51,13 +51,10 @@ from .errors import (
 )
 from .influence import (
     ApproximationErrorReport,
-    InfluenceRecord,
     approximation_errors,
     crossover_dimension,
-    exact_influence,
     exact_influences,
     first_order_influences,
-    influence_records,
     second_order_influences,
     timing_comparison,
 )

@@ -233,10 +233,6 @@ class SimulationResult:
     empirical_truthful_fraction: float
     test_mode: str
 
-    @property
-    def risk_trace(self) -> list:
-        return self.ledger.risk_trace
-
 
 def simulate_population(
     n_agents: int,
@@ -387,7 +383,7 @@ def best_response_check(
         test, y_test = rows[:c, n_others:-1], targets[:c, n_others:-1]
         probe, y_probe = rows[:c, -1:], targets[:c, -1:]
         others_t = others.swapaxes(-1, -2)
-        theta, gram_inverse, _ = _solve_normal_equations(
+        theta, gram_inverse = _solve_normal_equations(
             others_t @ others, (others_t @ y_others)[..., 0], n_others, 0.0
         )
         _, gbar = _test_terms(test, y_test, theta)

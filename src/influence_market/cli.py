@@ -35,7 +35,6 @@ from .mixture import (
     correction_inclusive,
     truthful_threshold,
 )
-from .regression import fit
 
 
 def _number_list(text: str, convert, flag: str) -> list:
@@ -111,15 +110,13 @@ def cmd_approx_error(args) -> int:
     _check_trials(args.trials)
     if args.n_train < 3:
         raise InfluenceMarketError("n_train must be at least d + 2")
-    orders = ("first", "second")
-    reports = {order: [] for order in orders}
+    reports = {"first": [], "second": []}
     for trial in range(args.trials):
         train, test = _resolve_dataset(args, args.n_train, args.n_test, args.seed + trial)
         if args.n_train < train.dimension + 2:
             raise InfluenceMarketError(f"n_train must be at least d + 2 = {train.dimension + 2}")
-        model = fit(train, ridge=args.ridge)
-        for order in orders:
-            reports[order].append(approximation_errors(train, test, order=order, model=model))
+        for order, report in approximation_errors(train, test, ridge=args.ridge).items():
+            reports[order].append(report)
     rows = [
         {
             "dataset": args.dataset,
@@ -131,7 +128,7 @@ def cmd_approx_error(args) -> int:
             "n_test": args.n_test,
             "trials": args.trials,
         }
-        for order in orders
+        for order in reports
     ]
     write_results(rows, args.out_dir / "approx_error.csv")
     _write_manifest(args, args.out_dir)

@@ -382,6 +382,21 @@ def _parse_column(cells) -> list:
     return values
 
 
+def _read_key_values(path) -> dict:
+    """``key=value`` lines of a key-value file, values kept as strings."""
+    out = {}
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for line in fh:
+                line = line.rstrip("\n")
+                if line:
+                    key, _, value = line.partition("=")
+                    out[key] = value
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    return out
+
+
 def read_results(path, fmt: str = "csv"):
     """Read back files produced by :func:`write_results`.
 
@@ -390,18 +405,7 @@ def read_results(path, fmt: str = "csv"):
     values the same way. A file that is not valid UTF-8 raises IoError.
     """
     if fmt == "key-value-summary":
-        out = {}
-        try:
-            with open(path, newline="", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.rstrip("\n")
-                    if not line:
-                        continue
-                    key, _, value = line.partition("=")
-                    out[key] = _parse_cell(value)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise IoError(f"cannot read {path}: {exc}") from exc
-        return out
+        return {key: _parse_cell(value) for key, value in _read_key_values(path).items()}
     if fmt != "csv":
         raise DomainError(f"unknown format {fmt!r}")
     rows = _read_rows(path)
@@ -431,17 +435,18 @@ def write_schema(schema: DatasetSchema, path) -> None:
 
 
 def read_schema(path) -> DatasetSchema:
-    raw = read_results(path, fmt="key-value-summary")
-    dropped = raw.get("dropped_columns", "")
-    if isinstance(dropped, str):
-        dropped = tuple(c for c in dropped.split(",") if c)
-    else:
-        dropped = (str(dropped),)
+    """Schema written by :func:`write_schema`. Names are kept as written and
+    only ``standardize`` is parsed; a missing ``name`` or ``target_column``
+    raises IoError."""
+    raw = _read_key_values(path)
+    for key in ("name", "target_column"):
+        if key not in raw:
+            raise IoError(f"schema file {path} has no {key!r} entry")
     return DatasetSchema(
-        name=str(raw["name"]),
-        target_column=str(raw["target_column"]),
-        dropped_columns=dropped,
-        delimiter=str(raw.get("delimiter", ",")),
-        standardize=bool(raw.get("standardize", True)),
-        na_policy=str(raw.get("na_policy", "drop-row")),
+        name=raw["name"],
+        target_column=raw["target_column"],
+        dropped_columns=tuple(c for c in raw.get("dropped_columns", "").split(",") if c),
+        delimiter=raw.get("delimiter", ","),
+        standardize=bool(_parse_cell(raw.get("standardize", "true"))),
+        na_policy=raw.get("na_policy", "drop-row"),
     )

@@ -7,8 +7,8 @@ class InfluenceMarketError(Exception):
 
 class InvalidValue(InfluenceMarketError, ValueError):
     """An argument has a value the operation cannot accept: a non-finite
-    number, a negative count or coefficient, a repeated arrival index, or an
-    unknown option. Also a ValueError, so ``except ValueError`` catches it."""
+    number, a negative count or coefficient, or a repeated arrival index.
+    Also a ValueError, so ``except ValueError`` catches it."""
 
 
 class DimensionMismatch(InfluenceMarketError):

@@ -1,11 +1,11 @@
 """
 Influence of a training point on a test set, computed three ways.
 
-* exact: leave the point out, refit, and difference the test risks. The
-  production path moves the parameters by a Sherman-Morrison rank-one
-  downdate of the cached Gram inverse, which is Cook's (1977) closed-form
-  leave-one-out through the leverage h_j (O(d^2) per point); a naive full
-  refit per point is kept for validation and benchmarking.
+* exact: the test risk without the point minus the risk with it. The
+  parameters move by a Sherman-Morrison rank-one downdate of the cached Gram
+  inverse, which is Cook's (1977) closed-form leave-one-out through the
+  leverage h_j (O(d^2) per point). Only the criterion-10 timing strawman
+  (:func:`_time_exact_refit`) refits once per point.
 * first order: (1/n) grad_test.T H^{-1} grad_point, averaged over the test
   set. Sums to zero over the training set because the fit is stationary.
 * second order: adds the (1/n^2) H^{-1} H_point H^{-1} grad term to the
@@ -28,8 +28,11 @@ stack of independent fits, as the best-response probe does for a chunk of
 trials. Each fit of a stack, and a lone fit, gets the BLAS calls that
 unstacked code would make for it, so it rounds the same way.
 
-There is no per-point pricing API: one point's price is the plural kernel's
-on a one-row ``Dataset.subset``. Only the criterion-10 strawman
+The public pricing API is the three plural kernels and
+:func:`approximation_errors`, which scores both approximations against one
+exact pass. There is no per-point call: one point's exact price is
+``exact_influences`` with ``indices=[j]``, and its approximate prices are the
+kernels' on a one-row ``Dataset.subset``. Only the criterion-10 strawman
 (:func:`_time_second_order`) evaluates the two-term shift one training point
 and one test point at a time, since that per-pair cost is what the timing
 comparison measures. An empty test set raises ``EmptyDataset``.
@@ -45,18 +48,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyDataset, IndexOutOfRange, InvalidValue, SingularDesign
+from .errors import EmptyDataset, IndexOutOfRange, SingularDesign
 from .regression import Dataset, FittedModel, _check_params_dim, fit, residuals, risk
-
-
-@dataclass(frozen=True)
-class InfluenceRecord:
-    """Per-point influence values in loss units (squared-target units)."""
-
-    point_id: object
-    exact: float
-    first_order: float
-    second_order: float
 
 
 @dataclass(frozen=True)
@@ -187,32 +180,6 @@ def _checked_indices(train: Dataset, indices: Optional[Sequence[int]]):
     return idx
 
 
-def exact_influence(
-    train: Dataset,
-    j: int,
-    test: Dataset,
-    model: Optional[FittedModel] = None,
-    method: str = "downdate",
-    ridge: float = 0.0,
-) -> float:
-    """Exact influence of training point j on the test set.
-
-    Computes R(test, params fitted without j) - R(test, params fitted on all
-    of train). ``method="downdate"`` reuses the cached Gram inverse;
-    ``method="refit"`` refits from scratch and exists for validation and
-    timing. Requires n >= d + 2 so the leave-one-out fit is determined.
-    """
-    _checked_indices(train, [j])
-    if method == "downdate":
-        return float(exact_influences(train, test, model=model, indices=[j], ridge=ridge)[0])
-    if method != "refit":
-        raise InvalidValue(f"unknown method {method!r}")
-    if model is None:
-        model = fit(train, ridge=ridge)
-    loo = fit(train.without_index(j), ridge=model.ridge)
-    return risk(test, loo.params) - risk(test, model.params)
-
-
 def exact_influences(
     train: Dataset,
     test: Dataset,
@@ -220,11 +187,15 @@ def exact_influences(
     indices: Optional[Sequence[int]] = None,
     ridge: float = 0.0,
 ) -> np.ndarray:
-    """Exact influence of every (or a subset of) training point, vectorized.
+    """Exact influence of every training point, or of the rows ``indices``,
+    vectorized: R(test, params fitted without j) - R(test, params fitted on
+    all of train) for each j. Requires n >= d + 2 so every leave-one-out fit
+    is determined.
 
-    The downdate path is evaluated through the closed-form risk change, which
-    for squared loss equals the literal refit-and-difference value up to
-    rounding; tests pin the two paths together to 1e-9.
+    The downdate is scored through the closed-form risk change, which for
+    squared loss equals the literal refit-and-difference value up to
+    rounding; tests pin the two together to 1e-9. One point's price is
+    ``exact_influences(train, test, indices=[j])[0]``.
     """
     idx = _checked_indices(train, indices)
     if model is None:
@@ -245,59 +216,34 @@ def second_order_influences(model: FittedModel, points: Dataset, test: Dataset) 
     return _removal_prices(model, points, test, "second-order")
 
 
-def influence_records(
-    train: Dataset,
-    test: Dataset,
-    model: Optional[FittedModel] = None,
-    ridge: float = 0.0,
-) -> list:
-    """Exact, first-order and second-order influence for every training point."""
-    if model is None:
-        model = fit(train, ridge=ridge)
-    exact = exact_influences(train, test, model=model)
-    first = first_order_influences(model, train, test)
-    second = second_order_influences(model, train, test)
-    ids = [
-        train.agent_ids[j] if train.agent_ids[j] is not None else int(train.arrival_index[j])
-        for j in range(len(train))
-    ]
-    return [
-        InfluenceRecord(ids[j], float(exact[j]), float(first[j]), float(second[j]))
-        for j in range(len(train))
-    ]
-
-
 def approximation_errors(
     train: Dataset,
     test: Dataset,
-    order: str = "second",
     model: Optional[FittedModel] = None,
     ridge: float = 0.0,
-) -> ApproximationErrorReport:
-    """Error metrics of one approximation order against the exact influence.
+) -> dict:
+    """Error metrics of the first- and the second-order influence against the
+    exact influence, as ``{"first": report, "second": report}``.
 
     Relative L1 is the ratio of means (mean absolute error over mean absolute
     exact influence), not a mean of per-point ratios, to avoid division by
     near-zero exact influences.
     """
-    if order not in ("first", "second"):
-        raise InvalidValue(f"order must be 'first' or 'second', got {order!r}")
     if model is None:
         model = fit(train, ridge=ridge)
     exact = exact_influences(train, test, model=model)
-    if order == "first":
-        approx = first_order_influences(model, train, test)
-    else:
-        approx = second_order_influences(model, train, test)
-    err = np.abs(approx - exact)
-    l1 = float(np.mean(err))
     denom = float(np.mean(np.abs(exact)))
-    if denom == 0.0:
-        relative = 0.0 if l1 == 0.0 else float("inf")
-    else:
-        relative = l1 / denom
-    l2 = float(np.mean((approx - exact) ** 2))
-    return ApproximationErrorReport(l1, relative, l2, len(train), len(test))
+    reports = {}
+    for order, kernel in (("first", first_order_influences), ("second", second_order_influences)):
+        approx = kernel(model, train, test)
+        l1 = float(np.mean(np.abs(approx - exact)))
+        if denom == 0.0:
+            relative = 0.0 if l1 == 0.0 else float("inf")
+        else:
+            relative = l1 / denom
+        l2 = float(np.mean((approx - exact) ** 2))
+        reports[order] = ApproximationErrorReport(l1, relative, l2, len(train), len(test))
+    return reports
 
 
 def _timing_workload(n: int, d: int, n_test: int, seed: int):

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DomainError,
+    EmptyDataset,
     EmptyStream,
     InsufficientInitialization,
     InvalidValue,
@@ -258,7 +259,7 @@ def run_mechanism(
     if len(stream) == 0:
         raise EmptyStream("the report stream is empty")
     if len(test) == 0:
-        raise EmptyStream("the test set is empty")
+        raise EmptyDataset("the test set is empty")
     if init is None:
         init = initialize_model(
             config.init_count,
@@ -308,7 +309,7 @@ def run_mechanism(
         batch_rows, batch_targets, batch = rows[lo:hi], targets[lo:hi], joint[lo:hi]
         total, carry = _add_compensated(total, carry, batch.T @ batch)
         stats = total + carry
-        theta_post, inverse_post, _ = _solve_normal_equations(
+        theta_post, inverse_post = _solve_normal_equations(
             stats[:p, :p], stats[:p, p], n_init + hi, ridge
         )
         risk_now, gbar_post = _test_terms(test_rows, test_y, theta_post)

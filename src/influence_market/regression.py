@@ -5,8 +5,9 @@ test risk in the augmented (weights, bias) parameter space.
 The model is y ~ w @ x + b with squared-residual loss (no 1/2 factor). The
 parameters live in the augmented space of dimension d + 1, where a feature
 vector x is extended to x~ = [x, 1] so the bias is an ordinary coordinate.
-Fitting is done by normal equations through a Cholesky factorization; there
-is no iterative training anywhere in this package. A point's loss gradient
+Fitting solves the normal equations in closed form once a Cholesky
+factorization has certified the Gram matrix positive definite; there is no
+iterative training anywhere in this package. A point's loss gradient
 -2 r x~ and Hessian 2 x~ x~.T appear only inside the influence module's
 kernels, which take whole arrays of rows.
 
@@ -173,6 +174,9 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
+        if indices.size and (indices.min() < 0 or indices.max() >= len(self)):
+            bad = indices[(indices < 0) | (indices >= len(self))][0]
+            raise IndexOutOfRange(f"index {bad} outside dataset of size {len(self)}")
         ids = [self.agent_ids[i] for i in indices]
         return Dataset(self.X[indices], self.y[indices], ids, self.arrival_index[indices])
 
@@ -231,15 +235,12 @@ class Parameters:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """A trained linear regression with cached curvature information.
+    """A trained linear regression with its cached Gram inverse.
 
     Attributes
     ----------
     params : Parameters
         The risk minimizer.
-    hessian_factorization : ndarray of shape (d+1, d+1)
-        Lower-triangular Cholesky factor of the empirical-risk Hessian in
-        augmented space (positive pivots certify positive definiteness).
     gram_inverse : ndarray of shape (d+1, d+1)
         Inverse of the augmented Gram matrix X~.T @ X~ + ridge * I, used for
         O(d^2) rank-one updates and downdates.
@@ -250,16 +251,14 @@ class FittedModel:
     """
 
     params: Parameters
-    hessian_factorization: np.ndarray
     gram_inverse: np.ndarray
     n_train: int
     ridge: float = 0.0
 
     def __post_init__(self):
-        for name in ("hessian_factorization", "gram_inverse"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        arr = np.asarray(self.gram_inverse, dtype=np.float64)
+        arr.setflags(write=False)
+        object.__setattr__(self, "gram_inverse", arr)
 
 
 def _check_params_dim(params: Parameters, d: int) -> None:
@@ -303,10 +302,9 @@ def fit(data: Dataset, ridge: float = 0.0) -> FittedModel:
             f"need at least d + 1 = {d + 1} points to fit in augmented dimension, got {n}"
         )
     aug = data.augmented()
-    theta, gram_inverse, chol_gram = _solve_normal_equations(aug.T @ aug, aug.T @ data.y, n, ridge)
+    theta, gram_inverse = _solve_normal_equations(aug.T @ aug, aug.T @ data.y, n, ridge)
     return FittedModel(
         params=Parameters.from_vector(theta),
-        hessian_factorization=np.sqrt(2.0 / n) * chol_gram,
         gram_inverse=gram_inverse,
         n_train=n,
         ridge=float(ridge),
@@ -319,9 +317,8 @@ def _solve_normal_equations(gram: np.ndarray, moment: np.ndarray, n: int, ridge:
     ``gram`` (..., p, p) is the unpenalized augmented Gram matrix X~.T X~ and
     ``moment`` (..., p) the vector X~.T y; leading axes stack independent
     fits of n points each. Ridge is added to the Gram diagonal here. Returns
-    theta (..., p), the penalized Gram inverse and its lower Cholesky factor
-    (both (..., p, p)). Raises SingularDesign as :func:`fit` documents if any
-    fit of the stack fails.
+    theta (..., p) and the penalized Gram inverse (..., p, p). Raises
+    SingularDesign as :func:`fit` documents if any fit of the stack fails.
     """
     p = gram.shape[-1]
     eye = np.eye(p)
@@ -331,7 +328,7 @@ def _solve_normal_equations(gram: np.ndarray, moment: np.ndarray, n: int, ridge:
     rhs = np.empty(moment.shape + (p + 1,))
     rhs[..., 0], rhs[..., 1:] = moment, eye
     try:
-        chol_gram = np.linalg.cholesky(gram)
+        np.linalg.cholesky(gram)  # the positive-definiteness check; the factor is unused
         solution = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularDesign(
@@ -353,7 +350,7 @@ def _solve_normal_equations(gram: np.ndarray, moment: np.ndarray, n: int, ridge:
             "the design is too ill-conditioned (supply ridge > 0)"
         )
     # Contiguous, as Parameters.as_vector() is, so products with theta round alike.
-    return np.ascontiguousarray(theta), gram_inverse, chol_gram
+    return np.ascontiguousarray(theta), gram_inverse
 
 
 def risk(data: Dataset, params: Parameters) -> float:

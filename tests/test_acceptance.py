@@ -21,7 +21,7 @@ from influence_market import (
     correction_exclusive,
     correction_inclusive,
     crossover_dimension,
-    exact_influence,
+    exact_influences,
     first_order_influences,
     fit,
     generate_world,
@@ -63,8 +63,9 @@ def test_criterion_01_approximation_dominance():
     for seed in range(10):
         _, train, test = linear_generated(seed)
         model = fit(train)
-        firsts.append(approximation_errors(train, test, order="first", model=model).relative_l1)
-        seconds.append(approximation_errors(train, test, order="second", model=model).relative_l1)
+        errors = approximation_errors(train, test, model=model)
+        firsts.append(errors["first"].relative_l1)
+        seconds.append(errors["second"].relative_l1)
     first_rel = float(np.mean(firsts))
     second_rel = float(np.mean(seconds))
     assert second_rel <= 1e-5
@@ -273,7 +274,7 @@ def test_criterion_09_oracle_equivalence():
             train = Dataset(X, y)
             test = Dataset(Xt, yt)
             j = int(rng.integers(n))
-            down = exact_influence(train, j, test)
+            down = float(exact_influences(train, test, indices=[j])[0])
             oracle = refit_influence(X, y, j, Xt, yt)
             worst = max(worst, abs(down - oracle))
             count += 1

@@ -54,8 +54,8 @@ class TestApproxError:
             world = generate_world(seed + trial)
             train = report_stream(build_population(n_train, 1.0), world, seed + trial + 1)
             test = independent_test_set(world, n_test, seed + trial + 2)
-            for order in reports:
-                reports[order].append(approximation_errors(train, test, order, ridge=0.25))
+            for order, report in approximation_errors(train, test, ridge=0.25).items():
+                reports[order].append(report)
         rows = read_results(tmp_path / "approx_error.csv")
         assert [r["order"] for r in rows] == ["first", "second"]
         for row in rows:
@@ -130,6 +130,20 @@ class TestApproxError:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert undecodable.name in err[0]
+
+    def test_schema_without_target_exits_with_one_error_line(self, tmp_path, capsys):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("a,target\n1.0,2.0\n")
+        schema_path = tmp_path / "data.schema"
+        schema_path.write_text("name=custom\nstandardize=true\n")
+        code = run(
+            "approx-error", "--dataset", csv_path, "--schema", schema_path,
+            "--n-train", 30, "--n-test", 10, "--out-dir", tmp_path,
+        )
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "data.schema" in err[0] and "'target_column'" in err[0]
 
     def test_builtin_needs_data_file(self, tmp_path, capsys):
         code = run("approx-error", "--dataset", "red-wine", "--out-dir", tmp_path)

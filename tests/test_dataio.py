@@ -253,6 +253,23 @@ class TestSchemaFiles:
         back = read_schema(path)
         assert back == schema
 
+    @pytest.mark.parametrize("name", ["007", "1e3", "true", "010"])
+    def test_schema_round_trip_keeps_names_as_written(self, tmp_path, name):
+        schema = DatasetSchema(
+            name=name, target_column=name, dropped_columns=("1e3x", name + "0", "false"),
+            delimiter=";", standardize=False,
+        )
+        path = tmp_path / "t.schema"
+        write_schema(schema, path)
+        assert read_schema(path) == schema
+
+    @pytest.mark.parametrize("key", ["name", "target_column"])
+    def test_schema_missing_key(self, tmp_path, key):
+        path = tmp_path / "t.schema"
+        path.write_text("name=t\ntarget_column=y\n".replace(f"{key}=", "other="))
+        with pytest.raises(IoError, match=f"t.schema.*'{key}'"):
+            read_schema(path)
+
     def test_target_in_dropped_rejected(self):
         with pytest.raises(DomainError):
             DatasetSchema(name="x", target_column="t", dropped_columns=("t",))

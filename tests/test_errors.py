@@ -11,8 +11,6 @@ from influence_market import (
     InvalidValue,
     MechanismConfig,
     Parameters,
-    approximation_errors,
-    exact_influence,
     fit,
     run_mechanism,
 )
@@ -49,14 +47,6 @@ SITES = {
     "parameters-nonfinite": (lambda: Parameters(np.array([1.0]), np.nan), "non-finite"),
     "fit-negative-ridge": (lambda: fit(small_data(), ridge=-1.0), "ridge must be non-negative"),
     "mechanism-arrival-overlap": (overlapping_init_run, "share arrival_index"),
-    "exact-influence-method": (
-        lambda: exact_influence(small_data(), 0, small_data(4, seed=2), method="bogus"),
-        "unknown method",
-    ),
-    "approximation-order": (
-        lambda: approximation_errors(small_data(), small_data(4, seed=2), order="third"),
-        "order must be",
-    ),
 }
 
 

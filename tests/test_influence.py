@@ -9,11 +9,9 @@ from influence_market import (
     Parameters,
     SingularDesign,
     approximation_errors,
-    exact_influence,
     exact_influences,
     first_order_influences,
     fit,
-    influence_records,
     risk,
     second_order_influences,
     timing_comparison,
@@ -185,7 +183,7 @@ class TestExactInfluence:
         # refitting with the on-plane point keeps the optimum, so removing it
         # changes nothing
         test = Dataset(rng.normal(size=(10, 2)), rng.normal(size=10))
-        assert abs(exact_influence(aug, 30, test)) <= 1e-12
+        assert abs(exact_influences(aug, test, indices=[30])[0]) <= 1e-12
 
     def test_matches_full_refit_oracle_small(self):
         rng = np.random.default_rng(1)
@@ -194,7 +192,7 @@ class TestExactInfluence:
         train, test = Dataset(X, y), Dataset(Xt, yt)
         for j in range(5):
             expected = refit_influence(X, y, j, Xt, yt)
-            assert exact_influence(train, j, test) == pytest.approx(expected, abs=1e-10)
+            assert exact_influences(train, test, indices=[j])[0] == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("d", [1, 5, 20])
     def test_downdate_equals_refit_random_instances(self, d):
@@ -205,8 +203,8 @@ class TestExactInfluence:
             Xt, yt = random_regression(rng, 10, d, noise=1.0)
             train, test = Dataset(X, y), Dataset(Xt, yt)
             j = int(rng.integers(n))
-            down = exact_influence(train, j, test)
-            ref = exact_influence(train, j, test, method="refit")
+            down = exact_influences(train, test, indices=[j])[0]
+            ref = risk(test, fit(train.without_index(j)).params) - risk(test, fit(train).params)
             assert down == pytest.approx(ref, abs=1e-9)
 
     def test_plural_matches_scalar(self):
@@ -215,13 +213,13 @@ class TestExactInfluence:
         plural = exact_influences(train, test, model=model)
         for j in range(len(train)):
             assert plural[j] == pytest.approx(
-                exact_influence(train, j, test, model=model), abs=1e-12
+                exact_influences(train, test, model=model, indices=[j])[0], abs=1e-12
             )
 
     def test_index_out_of_range(self):
         train, test = make_case(3)
         with pytest.raises(IndexOutOfRange):
-            exact_influence(train, len(train), test)
+            exact_influences(train, test, indices=[len(train)])
 
     @pytest.mark.parametrize("index", [25, -1])
     def test_plural_index_out_of_range(self, index):
@@ -234,7 +232,7 @@ class TestExactInfluence:
         X, y = random_regression(rng, 3, 2)
         test = Dataset(X, y)
         with pytest.raises(SingularDesign):
-            exact_influence(Dataset(X, y), 0, test)
+            exact_influences(Dataset(X, y), test, indices=[0])
 
     @pytest.mark.parametrize("wrong", ["points", "test"])
     def test_plural_kernels_reject_other_dimension(self, wrong):
@@ -256,10 +254,9 @@ class TestExactInfluence:
             lambda train, test, model: exact_influences(train, test, model=model),
             lambda train, test, model: first_order_influences(model, train, test),
             lambda train, test, model: second_order_influences(model, train, test),
-            lambda train, test, model: influence_records(train, test, model=model),
             lambda train, test, model: approximation_errors(train, test, model=model),
         ],
-        ids=["exact", "first", "second", "records", "approximation_errors"],
+        ids=["exact", "first", "second", "approximation_errors"],
     )
     def test_empty_test_set_raises(self, price):
         train, _ = make_case(8)
@@ -365,7 +362,7 @@ class TestSecondOrderInfluence:
             )
             expanded = float(risk_change(gbar, second_moment, true_shift))
             assert expanded == pytest.approx(
-                exact_influence(train, j, test, model=model), abs=1e-10
+                exact_influences(train, test, model=model, indices=[j])[0], abs=1e-10
             )
 
     def test_plural_matches_one_row_subset(self):
@@ -390,8 +387,8 @@ class TestApproximationErrors:
     def test_second_order_beats_first_order(self):
         for seed in range(5):
             train, test = make_case(50 + seed, n=120, d=3, noise=1.0)
-            first = approximation_errors(train, test, order="first")
-            second = approximation_errors(train, test, order="second")
+            errors = approximation_errors(train, test)
+            first, second = errors["first"], errors["second"]
             assert second.l1 < first.l1
             assert second.relative_l1 < first.relative_l1
             assert second.l2 < first.l2
@@ -404,19 +401,24 @@ class TestApproximationErrors:
         world = generate_world(123)
         train = report_stream(build_population(1000, 1.0), world, 5)
         test = independent_test_set(world, 200, 6)
-        first = approximation_errors(train, test, order="first")
-        second = approximation_errors(train, test, order="second")
+        errors = approximation_errors(train, test)
+        first, second = errors["first"], errors["second"]
         assert second.relative_l1 <= 1e-5
         assert second.relative_l1 * 100 <= first.relative_l1
 
-    def test_records_consistent_with_errors(self):
+    def test_reports_score_each_kernel_against_exact(self):
         train, test = make_case(61, n=50)
-        records = influence_records(train, test)
-        assert len(records) == 50
-        model = fit(train)
+        model = fit(train, ridge=0.3)
+        errors = approximation_errors(train, test, ridge=0.3)
+        assert list(errors) == ["first", "second"]
         exact = exact_influences(train, test, model=model)
-        got = np.array([r.exact for r in records])
-        np.testing.assert_allclose(got, exact, atol=1e-12)
+        for order, kernel in (("first", first_order_influences), ("second", second_order_influences)):
+            diff = kernel(model, train, test) - exact
+            report = errors[order]
+            assert report.l1 == float(np.mean(np.abs(diff)))
+            assert report.relative_l1 == report.l1 / float(np.mean(np.abs(exact)))
+            assert report.l2 == float(np.mean(diff**2))
+            assert (report.n_train, report.n_test) == (50, len(test))
 
 
 class TestTiming:

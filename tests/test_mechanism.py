@@ -8,6 +8,7 @@ from influence_market import (
     Dataset,
     DimensionMismatch,
     DomainError,
+    EmptyDataset,
     EmptyStream,
     InsufficientInitialization,
     MechanismConfig,
@@ -266,6 +267,12 @@ class TestGuards:
         empty = Dataset(np.empty((0, 1)), np.empty(0))
         with pytest.raises(EmptyStream):
             run_mechanism(empty, test, config_for(world), seed=0)
+
+    def test_empty_test_set(self):
+        world, stream, test = world_and_data(30)
+        empty = Dataset(np.empty((0, 1)), np.empty(0))
+        with pytest.raises(EmptyDataset, match="test set is empty"):
+            run_mechanism(stream, empty, config_for(world), seed=0)
 
     def test_init_sharing_arrival_indices_with_stream(self):
         world, stream, test = world_and_data(31)

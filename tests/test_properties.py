@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from influence_market import (
     Dataset,
     MechanismConfig,
-    exact_influence,
     exact_influences,
     first_order_influences,
     fit,
+    risk,
     run_mechanism,
     second_order_influences,
 )
@@ -104,7 +104,7 @@ def test_plural_prices_equal_one_row_prices(seed, d, extra, ridge):
     second = second_order_influences(model, train, test)
     for j in range(len(train)):
         point = train.subset([j])
-        refit = exact_influence(train, j, test, model=model, method="refit")
+        refit = risk(test, fit(train.without_index(j), ridge=ridge).params) - risk(test, model.params)
         assert exact[j] == pytest.approx(refit, rel=1e-7, abs=1e-10)
         assert first[j] == pytest.approx(
             first_order_influences(model, point, test)[0], rel=1e-9, abs=1e-14

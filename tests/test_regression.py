@@ -8,6 +8,7 @@ from influence_market import (
     Dataset,
     DimensionMismatch,
     EmptyDataset,
+    IndexOutOfRange,
     Parameters,
     SingularDesign,
     fit,
@@ -55,6 +56,13 @@ class TestDataset:
         rest = data.without_index(1)
         assert len(rest) == 2
         np.testing.assert_array_equal(rest.y, [0.0, 2.0])
+
+    @pytest.mark.parametrize("index", [5, 3, -1])
+    def test_subset_rejects_index_outside(self, index):
+        data = Dataset(np.arange(6.0).reshape(3, 2), np.array([0.0, 1.0, 2.0]))
+        with pytest.raises(IndexOutOfRange, match=f"index {index} outside dataset of size 3"):
+            data.subset([0, index])
+        assert len(data.subset([])) == 0
 
 
 class TestFit:
@@ -131,11 +139,12 @@ class TestFit:
         _, gbar = _test_terms(data.augmented(), data.y, model.params.as_vector())
         assert np.linalg.norm(gbar) <= 1e-8
 
-    def test_hessian_factorization_positive_pivots(self):
-        rng = np.random.default_rng(5)
-        X, y = random_regression(rng, 25, 3)
-        model = fit(Dataset(X, y))
-        assert np.all(np.diag(model.hessian_factorization) > 0)
+    def test_indefinite_gram_rejected(self):
+        # invertible, so the solve and the certificate alone would accept it;
+        # no design has this Gram matrix, and the Cholesky check refuses it
+        gram = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(SingularDesign, match="not invertible"):
+            _solve_normal_equations(gram, np.array([1.0, 1.0]), 2, 0.0)
 
 
 def sufficient_statistics(X, y):
