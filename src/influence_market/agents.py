@@ -4,8 +4,8 @@ heuristic reporting strategies, population simulations, and the Monte-Carlo
 best-response probe, which prices its deviations with the influence
 module's rank-one kernel.
 
-Draw order. Every report is drawn from the caller's generator row by row,
-and one private function per strategy defines the order:
+Draw order. A stream of reports is drawn from the caller's generator as if
+one NumPy call were made per number, row after row:
 
 * truthful (and perturbed): d uniform features, then one normal noise draw
   when ``noise_std > 0``;
@@ -14,12 +14,20 @@ and one private function per strategy defines the order:
 This is the bit-generator consumption of ``rng.uniform(size=d)`` followed by
 ``rng.normal()`` or ``rng.uniform()``. The draws are made as standard
 uniforms and standard normals and mapped onto the world's bounds and noise
-scale with the same arithmetic those NumPy methods apply. The functions fill
-preallocated arrays; ``truthful_report`` and ``heuristic_report`` are
-one-row wrappers over them, and ``report_stream``, ``independent_test_set``
-and ``best_response_check`` fill whole arrays. So a stream drawn in one call
-equals, bit for bit, the same reports drawn one at a time, and leaves the
-generator in the same state.
+scale with the same arithmetic those NumPy methods apply. ``report_stream``,
+``independent_test_set`` and ``best_response_check`` draw all their rows in
+one pass (``_draw_reports``), and ``truthful_report`` and
+``heuristic_report`` are one-row passes. A PCG64 generator's pass is
+decoded from one buffer of raw words (``_decode_pcg64``): a uniform is the
+top 53 bits of a word, and a normal on the fast path of NumPy's ziggurat
+(Marsaglia & Tsang 2000) is one word, read through NumPy's own layer
+tables; the rare normals off that path are drawn by the generator itself.
+The tables are read from NumPy on first use, through an MT19937 state with
+chosen outputs (its tempering is invertible; Matsumoto & Nishimura 1998),
+and a self-check against the per-call draws must pass before they are used.
+Any other generator, or a failed check, is called once per number. Either
+way a stream drawn in one call equals, bit for bit, the same reports drawn
+one at a time, and leaves the generator in the same state.
 
 The best-response probe works through its trials in chunks of a fixed size
 (``PROBE_CHUNK``): one draw fills a chunk's trials, which follow each other
@@ -30,9 +38,11 @@ not grow with the number of trials.
 
 from __future__ import annotations
 
+import functools
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import groupby
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -46,6 +56,21 @@ STRATEGIES = ("truthful", "heuristic", "perturbed")
 # Trials the best-response probe draws, solves and prices per stacked call;
 # fixed, so the probe's memory does not grow with n_trials.
 PROBE_CHUNK = 25
+# Rows the bulk decoder takes per pass. A pass costs about 40 us beyond its
+# rows, so longer passes are faster: 4096-row passes run the best-response
+# benchmark about 7x as fast as per-call draws, 256-row passes about 4x. That
+# benchmark keeps every table the probe returns, so its peak RSS grows with
+# throughput; at 7x it rises past its 5% bound. Raise this once the
+# benchmark pools a running sum instead of the tables.
+_DECODE_ROWS = 256
+# Fields of a raw word: a normal's layer (bits 0-7), its sign and layer
+# (bits 0-8) and its magnitude (bits 9-60, shifted down by _NINE); a
+# uniform is the word shifted down by _ELEVEN.
+_LAYER, _SIGNED_LAYER = np.uint64(0xFF), np.uint64(0x1FF)
+_MAGNITUDE, _NINE, _ELEVEN = np.uint64(2**52 - 1), np.uint64(9), np.uint64(11)
+# The decoder's self-check: a fixed seed and stream length whose stream takes
+# every kind of slow normal (layer 0, layers 1-2, a rejected fast test).
+_CHECK_SEED, _CHECK_ROWS = 1, 1000
 
 
 @dataclass
@@ -68,8 +93,10 @@ class AgentProfile:
             raise DomainError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.strategy == "heuristic" and self.effort != 0.0:
             raise DomainError("heuristic agents exert zero effort")
-        if self.effort < 0:
-            raise DomainError("effort must be non-negative")
+        if not (math.isfinite(self.effort) and self.effort >= 0):
+            raise DomainError("effort must be non-negative and finite")
+        if not math.isfinite(self.deviation):
+            raise DomainError("deviation must be finite")
 
 
 @dataclass(frozen=True)
@@ -86,12 +113,12 @@ class WorldModel:
     heuristic_y_bounds: tuple = (-3.0, 3.0)
 
     def __post_init__(self):
-        if self.noise_std < 0:
-            raise DomainError("noise_std must be non-negative")
-        if not self.x_bounds[1] > self.x_bounds[0]:
-            raise DomainError("x_bounds must be a non-degenerate interval")
-        if not self.heuristic_y_bounds[1] > self.heuristic_y_bounds[0]:
-            raise DomainError("heuristic_y_bounds must be a non-degenerate interval")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise DomainError("noise_std must be non-negative and finite")
+        for name in ("x_bounds", "heuristic_y_bounds"):
+            lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+                raise DomainError(f"{name} must be a finite, non-degenerate interval")
 
     @property
     def dimension(self) -> int:
@@ -132,61 +159,238 @@ def _linear_targets(world: WorldModel, X: np.ndarray) -> np.ndarray:
     return np.array([w @ x for x in X], dtype=np.float64) + b
 
 
-def _draw_truthful(world: WorldModel, rng: np.random.Generator, X: np.ndarray, y: np.ndarray):
-    """Fill the n rows of X (n, d) and y (n,) with truthful observations.
+def _per_call_draws(rng: np.random.Generator, normal: np.ndarray, d: int) -> np.ndarray:
+    """The draws of ``_standard_draws``, made one generator call at a time."""
+    features = (rng.random,) * d
+    calls = (f for z in normal for f in features + ((rng.standard_normal if z else rng.random),))
+    return np.fromiter((f() for f in calls), np.float64, len(normal) * (d + 1)).reshape(-1, d + 1)
 
-    Per row: d uniform features, then one standard normal when
-    ``noise_std > 0``. The normal draws take a variable number of bits, so
-    the rows are drawn one by one.
+
+def _untempered(outputs: np.ndarray) -> np.ndarray:
+    """MT19937 state words whose tempered outputs are ``outputs`` (uint32).
+
+    Each step of MT19937's tempering is an invertible xor-shift (Matsumoto &
+    Nishimura 1998); the steps are undone in reverse order, the two short
+    shifts by iterating them to a fixed point.
+    """
+    y = outputs ^ (outputs >> 18)
+    y ^= (y << 15) & 0xEFC60000
+    t = y
+    for _ in range(5):
+        t = y ^ ((t << 7) & 0x9D2C5680)
+    y = t
+    for _ in range(3):
+        t = y ^ (t >> 11)
+    return t
+
+
+def _crafted_generator(words: np.ndarray) -> np.random.Generator:
+    """A Generator whose next 64-bit words are ``words`` (uint64, at most 312).
+
+    NumPy's MT19937 makes a 64-bit word of two outputs, the high half first;
+    a build that takes the low half first fails the decoder's self-check.
+    """
+    outputs = np.column_stack([words >> np.uint64(32), words]).astype(np.uint32).ravel()
+    key = np.zeros(624, np.uint32)
+    key[: len(outputs)] = _untempered(outputs)
+    mt = np.random.MT19937(0)
+    mt.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
+    return np.random.Generator(mt)
+
+
+def _ziggurat_tables():
+    """Layer widths and fast-test bounds of NumPy's ziggurat.
+
+    A normal's word with layer i, sign 0 and magnitude 1 passes the fast test
+    of every layer from 2 on and comes out as exactly layer i's width, so one
+    call on such words reads the widths ``wi``. Layer i's word passes the
+    fast test when its magnitude lies under 2^52 wi[i-1] / wi[i]; ``ki``
+    keeps 4 below that bound, so rounding in the ratio cannot admit a word
+    that NumPy sends to its slow path. Layers 0-2 get no bound here and
+    always take the slow path. The widths are returned for a 9-bit index,
+    sign bit over layer, with the negative widths in the upper half: a
+    product's rounding does not depend on its sign.
+    """
+    layers = np.arange(2, 256, dtype=np.uint64)
+    wi = np.zeros(256)
+    wi[2:] = _crafted_generator(layers | np.uint64(1 << 9)).standard_normal(254)
+    ki = np.zeros(256, np.uint64)
+    ki[3:] = np.floor(2.0**52 * wi[2:-1] / wi[3:]) - 4
+    return np.concatenate([wi, -wi]), ki
+
+
+@functools.cache
+def _fast_path_tables():
+    """The ziggurat tables once they have passed the self-check, else False.
+
+    Built on first use. The check first requires, for every layer from 3 on
+    and either sign, that the word just under the layer's bound is a
+    one-word normal for NumPy itself, of the width the tables give. It then
+    decodes a fixed stream of normal and uniform rows, from a generator
+    holding a buffered 32-bit value, and requires the per-call draws and the
+    per-call generator state bit for bit. Any difference turns the fast path
+    off for the process.
+    """
+    try:
+        widths, ki = tables = _ziggurat_tables()
+        layers = np.arange(3, 256, dtype=np.uint64)
+        signed_layers = layers | (layers % 2) << 8  # odd layers negative
+        below = ki[3:] - 1
+        edge = _crafted_generator(signed_layers | below << _NINE).standard_normal(253)
+    except (KeyError, TypeError, ValueError):
+        return False
+    if not np.array_equal(edge, below * widths[signed_layers]):
+        return False
+    normal = np.arange(_CHECK_ROWS) % 4 != 0
+    bulk, per_call = (np.random.Generator(np.random.PCG64(_CHECK_SEED)) for _ in range(2))
+    for rng in (bulk, per_call):
+        rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": 1, "uinteger": 1}
+    draws = _decode_pcg64(bulk, normal, 1, tables)
+    if (
+        np.array_equal(draws, _per_call_draws(per_call, normal, 1))
+        and bulk.bit_generator.state == per_call.bit_generator.state
+    ):
+        return tables
+    return False
+
+
+def _decode_pcg64(rng: np.random.Generator, normal: np.ndarray, d: int, tables, slack=None):
+    """The draws of ``_standard_draws``, decoded from one buffer of raw words.
+
+    A PCG64 uniform is the top 53 bits of one raw word. A normal whose word
+    passes the ziggurat's fast test is that one word: its layer is the low
+    byte, its sign bit 8 and its magnitude bits 9-60, times the layer's
+    width. Every other normal is drawn by the generator itself, moved to its
+    word; the word that follows shows how many words the normal took, and
+    the rows after it move along by as many. The buffer holds ``slack``
+    words beyond the rows, over twice what slow normals take on average;
+    when they use them up, the draw starts again with more. At the
+    end the generator stands where the per-call draws leave it, its
+    buffered 32-bit value included.
+    """
+    widths, ki = tables
+    bg = rng.bit_generator
+    start = bg.state
+    n, w = len(normal), d + 1
+    slack = slack or 64 + n * w // 32
+    raw = bg.random_raw(n * w + slack)
+    fails = (raw >> _NINE) & _MAGNITUDE >= ki[raw & _LAYER]
+    bg.state = start
+    at = shift = taken = 0  # generator position, extra words taken, first free word
+    slow_rows, slow_values, skipped = [], [], []
+    for q in np.flatnonzero(fails).tolist():
+        row, column = divmod(q - shift, w)
+        if row >= n:
+            break
+        if q < taken or column != d or not normal[row]:
+            continue
+        bg.advance(q - at)
+        slow_values.append(rng.standard_normal())
+        following, taken = bg.random_raw(), q + 1
+        while taken < len(raw) and raw[taken] != following:
+            taken += 1
+        at = taken + 1
+        slow_rows.append(row)
+        skipped.extend(range(q + 1, taken))
+        shift += taken - q - 1
+    if n * w + shift >= len(raw):  # the rows, or a normal's words, ran past the buffer
+        bg.state = start
+        return _decode_pcg64(rng, normal, d, tables, 4 * slack)
+    bg.advance(n * w + shift - at)
+    if start["has_uint32"] or start["uinteger"]:  # advancing cleared them
+        bg.state = {**bg.state, "has_uint32": start["has_uint32"], "uinteger": start["uinteger"]}
+
+    words = np.delete(raw, skipped)[: n * w].reshape(n, w)
+    draws = (words >> _ELEVEN) * 2.0**-53
+    last = words[:, d]
+    magnitudes = (last >> _NINE) & _MAGNITUDE
+    np.copyto(draws[:, d], magnitudes * widths[last & _SIGNED_LAYER], where=normal)
+    if slow_rows:
+        draws[slow_rows, d] = slow_values
+    return draws
+
+
+def _standard_draws(rng: np.random.Generator, normal: np.ndarray, d: int) -> np.ndarray:
+    """Standard draws of n rows in stream order, as an (n, d + 1) array.
+
+    Per row: d uniforms, then a standard normal where ``normal`` is set and a
+    uniform elsewhere, as the calls ``rng.random()`` d times and then
+    ``rng.standard_normal()`` or ``rng.random()`` make them. A PCG64
+    generator's rows are decoded in bulk, ``_DECODE_ROWS`` at a time; any
+    other generator is called row by row. Both ways give the same draws and
+    leave the generator in the same state.
+    """
+    n = len(normal)
+    if not normal.any():
+        return rng.random((n, d + 1))
+    tables = type(rng.bit_generator) is np.random.PCG64 and _fast_path_tables()
+    if not tables:
+        return _per_call_draws(rng, normal, d)
+    return np.concatenate(
+        [
+            _decode_pcg64(rng, normal[start : start + _DECODE_ROWS], d, tables)
+            for start in range(0, n, _DECODE_ROWS)
+        ]
+    )
+
+
+def _draw_reports(world: WorldModel, rng: np.random.Generator, X, y, truthful: np.ndarray):
+    """Fill the n rows of X (n, d) and y (n,) with reports in stream order.
+
+    ``truthful`` marks the truthful rows: d uniform features, then one
+    standard normal when ``noise_std > 0``. The other rows are heuristic: d
+    uniform features, then one uniform target.
     """
     n, d = X.shape
     noisy = world.noise_std > 0
     if noisy:
-        calls = (rng.random,) * d + (rng.standard_normal,)
-        draws = np.fromiter((call() for call in calls * n), np.float64, n * (d + 1))
-        draws = draws.reshape(n, d + 1)
+        draws = _standard_draws(rng, truthful, d)
     else:
-        draws = rng.random((n, d))
+        # A noiseless truthful row takes no last draw, and every draw is uniform.
+        draws = np.zeros((n, d + 1))
+        taken = np.ones((n, d + 1), dtype=bool)
+        taken[truthful, d] = False
+        draws[taken] = rng.random(int(taken.sum()))
     X[:] = _scaled(*world.x_bounds, draws[:, :d])
-    y[:] = _linear_targets(world, X)
+    rows = slice(None)
+    if not truthful.all():
+        y[:] = _scaled(*world.heuristic_y_bounds, draws[:, d])
+        rows = truthful
+    targets = _linear_targets(world, X[rows])
     if noisy:
-        y += world.noise_std * draws[:, d]
+        targets += world.noise_std * draws[rows, d]
+    y[rows] = targets
 
 
-def _draw_heuristic(world: WorldModel, rng: np.random.Generator, X: np.ndarray, y: np.ndarray):
-    """Fill the n rows of X (n, d) and y (n,) with heuristic reports.
-
-    Per row: d uniform features, then one uniform target. All are uniform
-    draws, so one bulk draw consumes the stream as the row-by-row calls do.
-    """
-    n, d = X.shape
-    draws = rng.random((n, d + 1))
-    X[:] = _scaled(*world.x_bounds, draws[:, :d])
-    y[:] = _scaled(*world.heuristic_y_bounds, draws[:, d])
+def _draw_truthful(world: WorldModel, rng: np.random.Generator, X, y):
+    """Fill X (n, d) and y (n,) with truthful observations."""
+    _draw_reports(world, rng, X, y, np.ones(len(X), dtype=bool))
 
 
-def _one_report(draw, world: WorldModel, seed, agent_id, arrival_index) -> DataPoint:
+def _one_report(truthful: bool, world: WorldModel, seed, agent_id, arrival_index) -> DataPoint:
     X, y = np.empty((1, world.dimension)), np.empty(1)
-    draw(world, np.random.default_rng(seed), X, y)
+    _draw_reports(world, np.random.default_rng(seed), X, y, np.array([truthful]))
     return DataPoint(X[0], y[0], agent_id=agent_id, arrival_index=arrival_index)
 
 
 def truthful_report(world: WorldModel, seed, agent_id=None, arrival_index=0) -> DataPoint:
     """Observe the world: x uniform in its bounds, y on the true line plus
     Gaussian noise."""
-    return _one_report(_draw_truthful, world, seed, agent_id, arrival_index)
+    return _one_report(True, world, seed, agent_id, arrival_index)
 
 
 def heuristic_report(world: WorldModel, seed, agent_id=None, arrival_index=0) -> DataPoint:
     """Uninformed report: the truthful feature marginal, but y uniform in the
     heuristic bounds and independent of x."""
-    return _one_report(_draw_heuristic, world, seed, agent_id, arrival_index)
+    return _one_report(False, world, seed, agent_id, arrival_index)
 
 
 def build_population(n_agents: int, p_truthful: float, effort: float = 0.0) -> list:
     """Exact-count population: round(p * n) truthful agents, rest heuristic."""
     if not 0.0 <= p_truthful <= 1.0:
         raise DomainError("p_truthful must lie in [0, 1]")
+    if n_agents < 0:
+        raise DomainError(f"n_agents must be non-negative, got {n_agents}")
     n_truthful = int(round(p_truthful * n_agents))
     profiles = [AgentProfile(f"T{i}", "truthful", effort=effort) for i in range(n_truthful)]
     profiles += [AgentProfile(f"H{i}", "heuristic") for i in range(n_agents - n_truthful)]
@@ -203,12 +407,8 @@ def report_stream(profiles: Sequence[AgentProfile], world: WorldModel, seed: int
     ordered = [active[i] for i in rng.permutation(len(active))]
     X = np.empty((len(ordered), world.dimension))
     y = np.empty(len(ordered))
-    start = 0
-    for heuristic, run in groupby(p.strategy == "heuristic" for p in ordered):
-        stop = start + sum(1 for _ in run)
-        draw = _draw_heuristic if heuristic else _draw_truthful
-        draw(world, rng, X[start:stop], y[start:stop])
-        start = stop
+    truthful = np.array([p.strategy != "heuristic" for p in ordered], dtype=bool)
+    _draw_reports(world, rng, X, y, truthful)
     for i, p in enumerate(ordered):
         if p.strategy == "perturbed" and p.deviation:
             y[i] += p.deviation
@@ -321,6 +521,34 @@ def opt_out_followup(
     )
 
 
+class _ProbeTable(Sequence):
+    """The best-response table: a read-only sequence of one
+    ``{"deviation": c, "mean_influence": v}`` dict per deviation.
+
+    Each row is made when it is read, so a table kept for later holds the
+    grid and a tuple of the means instead of a dict per row.
+    """
+
+    __slots__ = ("_deviations", "_means")
+
+    def __init__(self, deviations: tuple, means: tuple):
+        self._deviations, self._means = deviations, means
+
+    def __len__(self) -> int:
+        return len(self._deviations)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        return {"deviation": self._deviations[i], "mean_influence": self._means[i]}
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 def best_response_check(
     world: WorldModel,
     n_others: int,
@@ -328,14 +556,15 @@ def best_response_check(
     seed: int = 0,
     n_trials: int = 1000,
     n_test: int = 100,
-) -> list:
+) -> Sequence[dict]:
     """Mean influence of reporting the observed target plus each deviation.
 
     For each trial, n_others truthful reports train the model; the probed
     agent observes truthfully and reports y + c for every c on the grid. The
     influence is the drop in independent-test risk from adding the report
     (exactly Theorem-style scoring: the leave-one-out model is the others'
-    model). Returns rows of (deviation, mean_influence). ``seed`` is
+    model). Returns a read-only sequence of one ``{"deviation": c,
+    "mean_influence": v}`` dict per grid value, in grid order. ``seed`` is
     anything ``np.random.default_rng`` takes; a Generator is drawn from as
     is.
 
@@ -351,7 +580,8 @@ def best_response_check(
     ------
     DomainError
         If n_others < d + 1: the others' model is underdetermined and the
-        best-response question is not well posed; or if n_trials < 1.
+        best-response question is not well posed; if n_trials < 1; or if
+        the deviation grid is empty or holds a non-finite value.
     EmptyDataset
         If n_test < 1.
     """
@@ -364,7 +594,11 @@ def best_response_check(
         raise DomainError(f"best_response_check needs n_trials >= 1, got {n_trials}")
     if n_test < 1:
         raise EmptyDataset("best_response_check needs n_test >= 1 test points")
-    grid = [float(c) for c in deviation_grid]
+    grid = tuple(deviation_grid)  # a tuple of floats is kept as it is
+    if not all(type(c) is float for c in grid):
+        grid = tuple(map(float, grid))
+    if not grid or not all(map(math.isfinite, grid)):
+        raise DomainError(f"deviation_grid must be non-empty and finite, got {list(grid)}")
     deviations = np.array(grid)
     rng = np.random.default_rng(seed)
     # Augmented rows (features, then a column of ones) and targets of each
@@ -392,10 +626,7 @@ def best_response_check(
         prices = _prices(gram_inverse, probes, res, gbar, _second_moment(test), "exact", True)
         for trial_prices in prices:
             sums += trial_prices
-    return [
-        {"deviation": grid[i], "mean_influence": sums[i] / n_trials}
-        for i in range(len(grid))
-    ]
+    return _ProbeTable(grid, tuple(sums / n_trials))
 
 
 def quadratic_peak(rows: Sequence[dict]) -> float:

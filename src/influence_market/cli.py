@@ -8,6 +8,7 @@ manifest (flags, seed, versions) into --out-dir and is deterministic under
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -247,6 +248,12 @@ def cmd_bench(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    grid = _number_list(args.deviation_grid, float, "--deviation-grid")
+    if not all(map(math.isfinite, grid)) or len(set(grid)) < 3:
+        raise DomainError(
+            f"--deviation-grid needs at least 3 distinct finite deviations, "
+            f"got {args.deviation_grid!r}"
+        )
     world = generate_world(args.seed)
     config = MechanismConfig(
         batch_size=args.batch_size,
@@ -279,7 +286,6 @@ def cmd_simulate(args) -> int:
     summary["truthful_threshold"] = truthful_threshold(params)
     write_results(summary, args.out_dir / "simulation_summary.txt", fmt="key-value-summary")
 
-    grid = _number_list(args.deviation_grid, float, "--deviation-grid")
     table = best_response_check(
         world,
         n_others=args.n_others,

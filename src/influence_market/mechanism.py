@@ -87,10 +87,13 @@ class MechanismConfig:
             lo, hi = getattr(self, name)
             if not (hi > lo):
                 raise DomainError(f"{name} must be a non-degenerate interval")
-        if self.payment_scale <= 0:
-            raise DomainError("payment_scale must be positive")
-        if self.effort_cost < 0 or self.init_count < 0 or self.ridge < 0:
-            raise DomainError("effort_cost, init_count and ridge must be non-negative")
+        if not (math.isfinite(self.payment_scale) and self.payment_scale > 0):
+            raise DomainError("payment_scale must be positive and finite")
+        for name in ("effort_cost", "ridge"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise DomainError(f"{name} must be non-negative and finite")
+        if self.init_count < 0:
+            raise DomainError("init_count must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -280,7 +280,7 @@ def fit(data: Dataset, ridge: float = 0.0) -> FittedModel:
     data : Dataset
         Training points, n >= d + 1.
     ridge : float
-        Non-negative ridge coefficient added to the Gram diagonal.
+        Non-negative, finite ridge coefficient added to the Gram diagonal.
 
     Returns
     -------
@@ -288,13 +288,15 @@ def fit(data: Dataset, ridge: float = 0.0) -> FittedModel:
 
     Raises
     ------
+    InvalidValue
+        If ridge is negative, infinite or NaN.
     SingularDesign
         If the Gram matrix has a non-positive pivot and ridge is 0, if there
         are fewer than d + 1 points, or if the solve fails the gradient-norm
         optimality certificate.
     """
-    if ridge < 0:
-        raise InvalidValue("ridge must be non-negative")
+    if not (np.isfinite(ridge) and ridge >= 0):
+        raise InvalidValue("ridge must be non-negative and finite")
     n = len(data)
     d = data.dimension
     if n < d + 1:

@@ -3,12 +3,12 @@
 Everything here deliberately avoids the library's own computational paths:
 fits go through numpy.linalg.lstsq on explicitly built augmented matrices,
 derivatives through central finite differences, special functions through
-direct series summation, and the exact fit through rational arithmetic. The per-point report generators below are the one
-exception: they call the library's public single-report functions,
-``truthful_report`` and ``heuristic_report``, one point at a time, as the
-reference the array-based generators must reproduce bit for bit. The
-per-row CSV readers and writer at the end convert one cell at a time, as the
-reference the column-at-a-time ``dataio`` converters must reproduce.
+direct series summation, and the exact fit through rational arithmetic. The
+report generators below draw one report at a time with one generator call
+per number, as NumPy's scalar methods draw them, as the reference the
+library's bulk draws must reproduce bit for bit. The per-row CSV readers and
+writer at the end convert one cell at a time, as the reference the
+column-at-a-time ``dataio`` converters must reproduce.
 """
 
 import csv
@@ -22,8 +22,8 @@ from influence_market import (
     IoError,
     MissingColumn,
     NonNumericCell,
-    heuristic_report,
-    truthful_report,
+    Parameters,
+    WorldModel,
 )
 from influence_market.dataio import NA_STRINGS
 
@@ -144,32 +144,71 @@ def random_regression(rng, n, d, noise=0.1):
     return X, y
 
 
+def world_of(d, noise_std=1.0, seed=0):
+    """A d-feature linear world with steep random weights and asymmetric
+    feature and heuristic bounds."""
+    rng = np.random.default_rng(seed)
+    weights = rng.normal(size=d) * rng.uniform(0.5, 20.0, size=d)
+    return WorldModel(
+        true_params=Parameters(weights, rng.normal()),
+        noise_std=noise_std,
+        x_bounds=(-1.5, 2.0),
+        heuristic_y_bounds=(-3.0, 4.0),
+    )
+
+
+def per_call_draws(rng, normal, d):
+    """The standard draws of a stream of rows, one generator call at a time:
+    per row ``rng.random()`` d times, then ``rng.standard_normal()`` where
+    ``normal`` is set and ``rng.random()`` elsewhere. Returns (n, d + 1)."""
+    rows = []
+    for z in normal:
+        row = [rng.random() for _ in range(d)]
+        row.append(rng.standard_normal() if z else rng.random())
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(len(normal), d + 1)
+
+
+def per_call_report(world, rng, heuristic=False):
+    """One report drawn call by call: d uniform features, then the noise of
+    a truthful report (no draw when noiseless) or a heuristic report's
+    uniform target. Returns (x, y)."""
+    lo, hi = world.x_bounds
+    x = lo + (hi - lo) * np.array([rng.random() for _ in range(world.dimension)])
+    if heuristic:
+        y_lo, y_hi = world.heuristic_y_bounds
+        return x, y_lo + (y_hi - y_lo) * rng.random()
+    y = world.true_params.weights @ x + world.true_params.bias
+    if world.noise_std > 0:
+        y += world.noise_std * rng.standard_normal()
+    return x, y
+
+
 def per_point_reports(world, rng, n):
-    """n truthful reports drawn one ``truthful_report`` call at a time."""
-    points = [truthful_report(world, rng, None, i) for i in range(n)]
-    X = np.array([p.x for p in points]).reshape(n, world.dimension)
-    return X, np.array([p.y for p in points])
+    """n truthful reports drawn one ``per_call_report`` at a time."""
+    points = [per_call_report(world, rng) for _ in range(n)]
+    X = np.array([x for x, _ in points]).reshape(n, world.dimension)
+    return X, np.array([y for _, y in points], dtype=float)
 
 
 def per_point_stream(profiles, world, rng):
     """Reference for ``report_stream``: the same shuffle of the opted-in
-    agents, then one ``truthful_report`` or ``heuristic_report`` call per
-    arrival; perturbed agents add their deviation to the observed target.
-    Returns X, y, agent_ids and arrival indices."""
+    agents, then one ``per_call_report`` per arrival; perturbed agents add
+    their deviation to the observed target. Returns X, y, agent_ids and
+    arrival indices."""
     active = [p for p in profiles if p.opt_in]
     order = rng.permutation(len(active))
     X, y, ids = [], [], []
-    for arrival, idx in enumerate(order):
+    for idx in order:
         profile = active[idx]
-        report = heuristic_report if profile.strategy == "heuristic" else truthful_report
-        point = report(world, rng, profile.agent_id, arrival)
-        target = point.y
+        x, target = per_call_report(world, rng, heuristic=profile.strategy == "heuristic")
         if profile.strategy == "perturbed" and profile.deviation:
             target = target + profile.deviation
-        X.append(point.x)
+        X.append(x)
         y.append(target)
-        ids.append(point.agent_id)
-    return np.array(X), np.array(y), tuple(ids), np.arange(len(order))
+        ids.append(profile.agent_id)
+    X = np.array(X).reshape(len(order), world.dimension)
+    return X, np.array(y, dtype=float), tuple(ids), np.arange(len(order))
 
 
 def refit_best_response(world, n_others, grid, seed, n_trials, n_test):

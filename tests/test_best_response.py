@@ -146,3 +146,13 @@ def test_failed_certificate_trial_inside_a_chunk_raises(monkeypatch):
     corrupt_others(monkeypatch, PROBE_CHUNK + 2, 4, 6, huge)
     with pytest.raises(SingularDesign, match="^normal-equation solve failed the optimality"):
         best_response_check(generate_world(42), 4, [0.0], n_trials=2 * PROBE_CHUNK, n_test=6)
+
+
+def test_table_reads_as_a_list_of_rows():
+    table = best_response_check(generate_world(3), 6, (-1, 0.5, 2), seed=4, n_trials=3, n_test=5)
+    rows = list(table)
+    assert [r["deviation"] for r in rows] == [-1.0, 0.5, 2.0]
+    assert len(table) == 3 and table[-1] == rows[2] and table[1:] == rows[1:]
+    assert table == rows and table != rows[:2] and repr(table) == repr(rows)
+    with pytest.raises(IndexError):
+        table[3]

@@ -272,3 +272,21 @@ def test_bad_number_list_exits_with_one_error_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert argv[1] in err[0] and repr(argv[2]) in err[0]
+
+
+@pytest.mark.parametrize("grid", ["nan,0,1,2", "inf,0,1", "0,-inf,1", "0,1", "0,1,1,0", "2"])
+def test_bad_deviation_grid_exits_before_any_work(grid, tmp_path, capsys):
+    code = run("simulate", "--deviation-grid", grid, "--out-dir", tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "--deviation-grid needs at least 3 distinct finite deviations" in err[0]
+    assert not list(tmp_path.iterdir())
+
+
+def test_nan_payment_scale_exits_with_one_error_line(tmp_path, capsys):
+    code = run("simulate", "--alpha", "nan", "--out-dir", tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0] == "error: payment_scale must be positive and finite"
+    assert not list(tmp_path.iterdir())

@@ -7,26 +7,13 @@ import pytest
 from influence_market import (
     AgentProfile,
     DomainError,
-    Parameters,
-    WorldModel,
     heuristic_report,
     independent_test_set,
     report_stream,
     truthful_report,
 )
 
-from helpers import per_point_reports, per_point_stream
-
-
-def world_of(d, noise_std=1.0, seed=0):
-    rng = np.random.default_rng(seed)
-    weights = rng.normal(size=d) * rng.uniform(0.5, 20.0, size=d)
-    return WorldModel(
-        true_params=Parameters(weights, rng.normal()),
-        noise_std=noise_std,
-        x_bounds=(-1.5, 2.0),
-        heuristic_y_bounds=(-3.0, 4.0),
-    )
+from helpers import per_point_reports, per_point_stream, world_of
 
 
 def mixed_population():
