@@ -61,12 +61,35 @@ def _add_common(parser):
     parser.add_argument("--ridge", type=float, default=0.0)
 
 
+def _check_dataset_flags(args) -> None:
+    """Reject a --data-file or --schema that the run would ignore: beside
+    generated data, or a --data-file beside --schema (the CSV is --dataset)."""
+    if args.dataset == "linear-generated":
+        for flag, value in (("--data-file", args.data_file), ("--schema", args.schema)):
+            if value is not None:
+                raise DomainError(
+                    f"{flag} would be ignored: --dataset linear-generated draws its data"
+                )
+    elif args.schema is not None and args.data_file is not None:
+        raise DomainError("--data-file would be ignored: with --schema the CSV is --dataset")
+
+
+def _check_generated(args) -> None:
+    """Reject dataset flags on a command that always draws its data."""
+    if args.dataset != "linear-generated":
+        raise DomainError(
+            f"{args.command} draws its data; --dataset {args.dataset!r} would be ignored"
+        )
+    _check_dataset_flags(args)
+
+
 def _resolve_dataset(args, n_train, n_test, seed):
     """Train/test split for the requested dataset.
 
     linear-generated draws fresh data from a random linear world; file-backed
     datasets are shuffled then split.
     """
+    _check_dataset_flags(args)
     if args.dataset == "linear-generated":
         world = generate_world(seed)
         profiles = build_population(n_train, 1.0)
@@ -163,6 +186,7 @@ def _mechanism_run_sums(world, q, n, b, seed, n_test, ridge):
 
 
 def cmd_batch_ratio(args) -> int:
+    _check_generated(args)
     _check_trials(args.trials)
     batch_sizes = _number_list(args.batch_sizes, int, "--batch-sizes")
     rows = []
@@ -201,6 +225,7 @@ def cmd_batch_ratio(args) -> int:
 
 
 def cmd_influence_time(args) -> int:
+    _check_generated(args)
     _check_trials(args.trials)
     n = args.n_batches * args.batch_size
     traces = []
@@ -235,6 +260,7 @@ def cmd_influence_time(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _check_generated(args)
     dims = _number_list(args.dims, int, "--dims")
     rows = timing_comparison([args.n_train], dims, args.n_test, seed=args.seed)
     write_results(rows, args.out_dir / "bench.csv")
@@ -248,6 +274,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_generated(args)
     grid = _number_list(args.deviation_grid, float, "--deviation-grid")
     if not all(map(math.isfinite, grid)) or len(set(grid)) < 3:
         raise DomainError(

@@ -3,19 +3,30 @@ CSV ingestion with per-dataset preprocessing schemas, plus result
 serialization (plot-ready CSV tables and flat key-value summaries).
 
 Files are read and written as UTF-8; a file that does not decode, or that
-the csv module cannot parse, raises IoError. The CSV converters work a column
-at a time: ``load_csv_with_stats`` converts each wanted column with one
-``map(float, ...)`` and looks at single cells only in a column where that
-raised or gave a NaN, ``write_results`` formats each column once, and
-``read_results`` parses each column with ``float`` and tries ``int`` only
-where the value is integral or infinite. Files, values and errors are those
-of converting one cell at a time.
+the csv module cannot parse, raises IoError. The CSV converters work on a
+whole file or a whole column at a time:
+
+- ``load_csv_with_stats`` reads the header with ``csv``, then parses the
+  wanted columns of the body in one C pass (``np.loadtxt``). A file that
+  pass rejects, or whose wanted cells are not all finite numbers, goes to
+  the column path: ``csv`` rows, one ``map(float, ...)`` per wanted column,
+  and a look at single cells only in a column where that raised or gave a
+  NaN. The column path decides missing, blank and bad rows and every error.
+- ``write_results`` formats each column once, quotes only the cells that
+  need it, and writes the lines in blocks of rows.
+- ``read_results`` parses each column with ``float`` and tries ``int``
+  only where the value is integral or infinite; a column that is not all
+  numbers is parsed once per distinct cell.
+
+Files, values and errors are those of converting one cell at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,6 +65,11 @@ class DatasetSchema:
 
     def __post_init__(self):
         object.__setattr__(self, "dropped_columns", tuple(self.dropped_columns))
+        if len(self.delimiter) != 1 or self.delimiter in '"\r\n':
+            raise DomainError(
+                "delimiter must be one character other than a quote, CR or LF, "
+                f"got {self.delimiter!r}"
+            )
         if self.target_column in self.dropped_columns:
             raise DomainError("target_column must not be in dropped_columns")
         if self.na_policy not in NA_POLICIES:
@@ -82,10 +98,27 @@ def load_csv_with_stats(path, schema: DatasetSchema):
     cell (such as ``inf``) raises NonNumericCell with its coordinates, before
     any standardization. Row order is preserved.
     """
-    rows = _read_rows(path, schema.delimiter)
-    if not rows:
-        raise IoError(f"{path} is empty; a header row is required")
-    header = [h.strip() for h in rows[0]]
+    table = _load_clean(path, schema)
+    X, y = table if table is not None else _load_columns(path, schema)
+    stats = None
+    if schema.standardize:
+        mean = X.mean(axis=0)
+        scale = X.std(axis=0)
+        scale[scale == 0] = 1.0
+        stats = Standardization(mean=mean, scale=scale)
+        X = stats.apply(X)
+    return Dataset(X, y), stats
+
+
+def load_csv(path, schema: DatasetSchema) -> Dataset:
+    """Load a CSV per the schema (see :func:`load_csv_with_stats`)."""
+    dataset, _ = load_csv_with_stats(path, schema)
+    return dataset
+
+
+def _wanted_columns(header: list, schema: DatasetSchema):
+    """Indices of the feature columns and of the target in the stripped
+    header; MissingColumn for a column the schema names and the header lacks."""
     if schema.target_column not in header:
         raise MissingColumn(f"target column {schema.target_column!r} not in header")
     for col in schema.dropped_columns:
@@ -96,7 +129,64 @@ def load_csv_with_stats(path, schema: DatasetSchema):
         for i, name in enumerate(header)
         if name not in schema.dropped_columns and name != schema.target_column
     ]
-    target_idx = header.index(schema.target_column)
+    return keep, header.index(schema.target_column)
+
+
+def _load_clean(path, schema: DatasetSchema):
+    """X and y of a file whose wanted cells are all finite numbers: the
+    header read with csv, the rest parsed in one C pass. None for any other
+    file, which :func:`_load_columns` then reads and diagnoses."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh, delimiter=schema.delimiter), None)
+            if header is None:
+                return None
+            keep, target_idx = _wanted_columns([h.strip() for h in header], schema)
+            table = np.loadtxt(
+                _csv_safe_lines(fh),
+                delimiter=schema.delimiter,
+                quotechar='"',
+                comments=None,
+                usecols=keep + [target_idx],
+                ndmin=2,
+            )
+    except (OSError, UnicodeDecodeError, csv.Error, MissingColumn, ValueError):
+        # The column path reads the whole file before it looks at the header,
+        # so it raises a later unreadable line before a missing column.
+        return None
+    if not np.isfinite(table).all():
+        return None
+    return np.ascontiguousarray(table[:, :-1]), table[:, -1].copy()
+
+
+def _csv_safe_lines(lines):
+    """``lines`` unchanged, raising ValueError on one that csv could read as
+    a field over its size limit, and at the end when every line was blank
+    (``np.loadtxt`` warns on a body with no rows).
+
+    A field lies within one line unless quotes carry it over several, so
+    once a quote has appeared the whole length read so far is the bound."""
+    limit = csv.field_size_limit()
+    length, quoted, rows = 0, False, False
+    for line in lines:
+        length += len(line)
+        quoted = quoted or '"' in line
+        if len(line) > limit or (quoted and length > limit):
+            raise ValueError("a field may be over the csv field size limit")
+        rows = rows or line not in ("\n", "\r\n", "\r")
+        yield line
+    if not rows:
+        raise ValueError("no rows")
+
+
+def _load_columns(path, schema: DatasetSchema):
+    """X and y of any file, converted a column at a time from csv rows; the
+    path that decides NA, blank and bad rows and raises every load error."""
+    rows = _read_rows(path, schema.delimiter)
+    if not rows:
+        raise IoError(f"{path} is empty; a header row is required")
+    header = [h.strip() for h in rows[0]]
+    keep, target_idx = _wanted_columns(header, schema)
 
     body = rows[1:]
     n = len(body)
@@ -170,20 +260,7 @@ def load_csv_with_stats(path, schema: DatasetSchema):
             row=int(row_numbers[row]),
             column=name,
         )
-    stats = None
-    if schema.standardize:
-        mean = X.mean(axis=0)
-        scale = X.std(axis=0)
-        scale[scale == 0] = 1.0
-        stats = Standardization(mean=mean, scale=scale)
-        X = stats.apply(X)
-    return Dataset(X, y), stats
-
-
-def load_csv(path, schema: DatasetSchema) -> Dataset:
-    """Load a CSV per the schema (see :func:`load_csv_with_stats`)."""
-    dataset, _ = load_csv_with_stats(path, schema)
-    return dataset
+    return X, y
 
 
 def _read_rows(path, delimiter: str = ",") -> list:
@@ -297,15 +374,45 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _format_column(values: list) -> list:
-    """``_format_value`` of every value, one call per column when the
-    column holds only floats or only ints and strings."""
+# Types whose formatted cells never hold a comma, a quote or a line break.
+_UNQUOTED_TYPES = {float, int, bool, type(None), np.bool_, np.float64, np.float32}
+
+# Rows per write of a CSV body. 4096-row blocks were no faster and added
+# about 15% to a write's peak memory.
+_WRITE_BLOCK = 256
+
+
+def _format_column(values: list, lone: bool) -> list:
+    """``_format_value`` of every value as csv.writer writes it in a column
+    that is (``lone``) or is not the only one. One call per column when the
+    column holds only floats, or only ints, strings and Nones."""
     kinds = set(map(type, values))
     if kinds == {float}:
         return list(map("{:.17g}".format, values))
-    if kinds <= {int, str}:
-        return list(map(str, values))
-    return list(map(_format_value, values))
+    if kinds <= {int, str, type(None)}:
+        cells = list(map(str, values))
+    else:
+        cells = list(map(_format_value, values))
+    return cells if kinds <= _UNQUOTED_TYPES else _quote_cells(cells, lone)
+
+
+def _quote_cells(cells: list, lone: bool) -> list:
+    """``cells`` as csv.writer writes them: a cell holding a comma, a quote
+    or a line break, or the empty field of a one-column row, goes through
+    csv.writer; every other cell is written as it is."""
+    text = "\0".join(cells)
+    if not any(c in text for c in ',"\r\n') and not (lone and "" in cells):
+        return cells
+    out = []
+    for cell in cells:
+        if any(c in cell for c in ',"\r\n') or (lone and not cell):
+            # The line terminator decides which cells csv quotes, so it is
+            # the file's, then cut off.
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerow([cell])
+            cell = buffer.getvalue()[:-1]
+        out.append(cell)
+    return out
 
 
 def write_results(data, path, fmt: str = "csv", columns: Optional[Sequence[str]] = None):
@@ -332,17 +439,19 @@ def write_results(data, path, fmt: str = "csv", columns: Optional[Sequence[str]]
     if columns is None:
         columns = list(rows[0].keys()) if rows else []
     try:
-        cells = [_format_column([row[c] for row in rows]) for c in columns]
+        cells = [_format_column([row[c] for row in rows], len(columns) == 1) for c in columns]
     except KeyError:
         index, column = next(
             (i, c) for i, row in enumerate(rows) for c in columns if c not in row
         )
         raise MissingColumn(f"row {index} has no column {column!r}") from None
+    lines = map(",".join, zip(*cells)) if cells else iter([""] * len(rows))
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows(zip(*cells) if cells else [()] * len(rows))
+            csv.writer(fh, lineterminator="\n").writerow(columns)
+            while block := list(islice(lines, _WRITE_BLOCK)):
+                fh.write("\n".join(block))
+                fh.write("\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -365,11 +474,13 @@ def _parse_cell(cell: str):
 def _parse_column(cells) -> list:
     """``_parse_cell`` of every cell. ``int()`` can succeed only on a cell
     whose float value is integral or infinite, so only those cells are parsed
-    one at a time; a column that is not all numbers is parsed cell by cell."""
+    one at a time; a column that is not all numbers is parsed once per
+    distinct cell."""
     try:
         values = list(map(float, cells))
     except ValueError:
-        return list(map(_parse_cell, cells))
+        parsed = {cell: _parse_cell(cell) for cell in dict.fromkeys(cells)}
+        return list(map(parsed.__getitem__, cells))
     array = np.array(values)
     integral = np.flatnonzero(np.floor(array) == array).tolist()
     if len(integral) == len(values):
@@ -414,6 +525,8 @@ def read_results(path, fmt: str = "csv"):
     header, body = rows[0], rows[1:]
     columns = [_parse_column(cells) for cells in _columns(body, len(header))]
     parsed = zip(*columns) if columns else [()] * len(body)
+    if min(map(len, body), default=len(header)) >= len(header):
+        return [dict(zip(header, values)) for values in parsed]
     # A short row keeps only its own cells, a long row drops its extra ones.
     return [dict(zip(header, values[: len(row)])) for values, row in zip(parsed, body)]
 
@@ -434,19 +547,30 @@ def write_schema(schema: DatasetSchema, path) -> None:
     )
 
 
+# Spellings of ``standardize`` in a schema file.
+_SCHEMA_FLAGS = {"true": True, "1": True, "false": False, "0": False}
+
+
 def read_schema(path) -> DatasetSchema:
     """Schema written by :func:`write_schema`. Names are kept as written and
-    only ``standardize`` is parsed; a missing ``name`` or ``target_column``
+    only ``standardize`` is parsed, from ``true``/``1`` or ``false``/``0``;
+    a missing ``name`` or ``target_column``, or any other ``standardize``,
     raises IoError."""
     raw = _read_key_values(path)
     for key in ("name", "target_column"):
         if key not in raw:
             raise IoError(f"schema file {path} has no {key!r} entry")
+    standardize = raw.get("standardize", "true")
+    if standardize not in _SCHEMA_FLAGS:
+        raise IoError(
+            f"schema file {path} has 'standardize' = {standardize!r}; "
+            "expected true, false, 1 or 0"
+        )
     return DatasetSchema(
         name=raw["name"],
         target_column=raw["target_column"],
         dropped_columns=tuple(c for c in raw.get("dropped_columns", "").split(",") if c),
         delimiter=raw.get("delimiter", ","),
-        standardize=bool(_parse_cell(raw.get("standardize", "true"))),
+        standardize=_SCHEMA_FLAGS[standardize],
         na_policy=raw.get("na_policy", "drop-row"),
     )

@@ -150,6 +150,54 @@ class TestApproxError:
         assert code != 0
         assert "data-file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_bad_schema_delimiter_exits_with_one_error_line(self, tmp_path, capsys, delimiter):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("a,target\n1.0,2.0\n")
+        schema_path = tmp_path / "data.schema"
+        schema_path.write_text(f"name=custom\ntarget_column=target\ndelimiter={delimiter}\n")
+        code = run(
+            "approx-error", "--dataset", csv_path, "--schema", schema_path,
+            "--n-train", 30, "--n-test", 10, "--out-dir", tmp_path / "out",
+        )
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "delimiter" in err[0] and repr(delimiter) in err[0]
+
+
+class TestIgnoredDatasetFlags:
+    """A dataset flag the run would not read is refused before any work."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["approx-error", "--data-file", "{csv}"],
+            ["approx-error", "--schema", "{schema}"],
+            ["approx-error", "--data-file", "{csv}", "--schema", "{schema}"],
+            ["approx-error", "--dataset", "{csv}", "--schema", "{schema}", "--data-file", "{csv}"],
+            ["batch-ratio", "--batch-sizes", "1", "--data-file", "{csv}", "--schema", "{schema}"],
+            ["batch-ratio", "--batch-sizes", "1", "--dataset", "red-wine"],
+            ["influence-time", "--n-batches", "1", "--schema", "{schema}"],
+            ["bench", "--dims", "1", "--data-file", "{csv}"],
+            ["simulate", "--n-agents", "10", "--dataset", "{csv}", "--schema", "{schema}"],
+        ],
+    )
+    def test_exits_with_one_error_line_and_no_output(self, tmp_path, capsys, argv):
+        lines = ["a,b,target"] + [f"{i}.0,{i % 7}.5,{i % 3}.0" for i in range(60)]
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("\n".join(lines) + "\n")
+        schema_path = tmp_path / "data.schema"
+        schema_path.write_text("name=custom\ntarget_column=target\n")
+        out = tmp_path / "out"
+        argv = [a.format(csv=csv_path, schema=schema_path) for a in argv]
+        code = run(*argv, "--out-dir", out)
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "would be ignored" in err[0]
+        assert list(out.iterdir()) == []
+
 
 class TestBatchRatio:
     def test_small_run_matches_theory_shape(self, tmp_path):

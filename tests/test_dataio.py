@@ -1,4 +1,5 @@
 import csv
+import io
 import warnings
 
 import numpy as np
@@ -22,11 +23,13 @@ from influence_market import (
     write_results,
     write_schema,
 )
+from influence_market.dataio import _WRITE_BLOCK, _load_clean, _load_columns
 from influence_market.errors import InfluenceMarketError
 
 from helpers import per_row_load_csv, per_row_read_results, per_row_write_results
 
-CONVERTER_SETTINGS = settings(max_examples=150, deadline=None)
+# At least 150 examples each, and the profile's count where it is larger.
+CONVERTER_SETTINGS = settings(max_examples=max(150, settings().max_examples), deadline=None)
 
 
 def write_file(path, text):
@@ -270,6 +273,21 @@ class TestSchemaFiles:
         with pytest.raises(IoError, match=f"t.schema.*'{key}'"):
             read_schema(path)
 
+    @pytest.mark.parametrize(
+        "text, value", [("true", True), ("1", True), ("false", False), ("0", False)]
+    )
+    def test_schema_standardize_spellings(self, tmp_path, text, value):
+        path = tmp_path / "t.schema"
+        path.write_text(f"name=t\ntarget_column=y\nstandardize={text}\n")
+        assert read_schema(path).standardize is value
+
+    @pytest.mark.parametrize("text", ["False", "no", "maybe", "", "yes", "2"])
+    def test_schema_standardize_other_values_rejected(self, tmp_path, text):
+        path = tmp_path / "t.schema"
+        path.write_text(f"name=t\ntarget_column=y\nstandardize={text}\n")
+        with pytest.raises(IoError, match=f"t.schema.*'standardize'.*{text!r}"):
+            read_schema(path)
+
     def test_target_in_dropped_rejected(self):
         with pytest.raises(DomainError):
             DatasetSchema(name="x", target_column="t", dropped_columns=("t",))
@@ -284,6 +302,13 @@ class TestUnreadableFiles:
         with pytest.raises(IoError, match="t.csv"):
             load_csv(path, DatasetSchema(name="t", target_column="target"))
 
+    def test_unreadable_line_before_missing_column(self, tmp_path):
+        path = tmp_path / "t.csv"
+        # The bad byte lies past the first 8 KB that reading the header decodes.
+        path.write_bytes(b"a,b\n" + b"1.0,2.0\n" * 2000 + b"3.0,\xff\n")
+        with pytest.raises(IoError, match="t.csv"):
+            load_csv(path, DatasetSchema(name="t", target_column="target"))
+
     @pytest.mark.parametrize("fmt", ["csv", "key-value-summary"])
     def test_read_results(self, tmp_path, fmt):
         path = tmp_path / "t.out"
@@ -291,8 +316,11 @@ class TestUnreadableFiles:
         with pytest.raises(IoError, match="t.out"):
             read_results(path, fmt=fmt)
 
-    def test_oversized_csv_field(self, tmp_path):
-        path = write_file(tmp_path / "t.csv", "a,target\n" + "1" * 200_000 + ",1\n")
+    @pytest.mark.parametrize(
+        "cell", ["1" * 200_000, "0" * 200_000 + "1", '"1' + "\n" * 200_000 + '"']
+    )
+    def test_oversized_csv_field(self, tmp_path, cell):
+        path = write_file(tmp_path / "t.csv", "a,target\n" + cell + ",1\n")
         with pytest.raises(IoError, match="t.csv.*field limit"):
             load_csv(path, DatasetSchema(name="t", target_column="target"))
         with pytest.raises(IoError, match="t.csv.*field limit"):
@@ -303,6 +331,41 @@ class TestUnreadableFiles:
         path.write_bytes(b"name=t\ntarget_column=\xe9\n")
         with pytest.raises(IoError, match="t.schema"):
             read_schema(path)
+
+
+class TestCPass:
+    SCHEMA = DatasetSchema(name="t", target_column="target", standardize=False)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '"x\ny",target\n1,2\n3,4\n',  # a header holding a quoted newline
+            "x,target\r\n1,2\r\n3,4",  # CRLF, no final newline
+            'x,target\n"1","2"\n\n3,4,5\n',  # quoted numbers, a blank line, a wide row
+        ],
+    )
+    def test_clean_file_takes_c_pass(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        clean = _load_clean(path, self.SCHEMA)
+        assert clean is not None
+        assert [bits(a) for a in clean] == [bits(a) for a in _load_columns(path, self.SCHEMA)]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x,target\n",  # no body
+            "x,target\n\r\n\n",  # blank lines only
+            "x,target\n1,nan\n",
+            "x,target\n1,2\n3\n",  # a short row
+            "x,target\n" + "0" * 200_000 + "1,2\n",  # a field over csv's limit
+            'x,target\n"1' + "\n" * 200_000 + '",2\n',
+        ],
+    )
+    def test_other_file_goes_to_column_path(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        assert _load_clean(path, self.SCHEMA) is None
 
 
 class TestWriteResultsColumns:
@@ -363,9 +426,10 @@ LOAD_CELLS = st.one_of(NUMBERS, NUMBERS, NUMBERS, NUMBERS, NUMBERS, NUMBERS,
 
 @st.composite
 def csv_tables(draw):
-    """A schema and the rows of a CSV it loads: full rows of numbers, full
-    rows of numbers and NaN spellings, or ragged and blank rows with NA
-    spellings, non-finite and non-numeric cells and quoted delimiters."""
+    """A schema and the text of a CSV it loads: csv.writer rows that are all
+    numbers, numbers and NaN spellings, or ragged and blank rows with NA
+    spellings, non-finite and non-numeric cells and quoted delimiters; or
+    raw text csv.writer never writes."""
     n_features = draw(st.integers(0, 3))
     names = [f"x{j}" for j in range(n_features)] + ["target"]
     dropped = ("id",) if draw(st.booleans()) else ()
@@ -380,7 +444,9 @@ def csv_tables(draw):
         na_policy=draw(st.sampled_from(["drop-row", "error"])),
     )
     width = len(names)
-    mode = draw(st.sampled_from(["numbers", "nan spellings", "messy"]))
+    mode = draw(st.sampled_from(["numbers", "nan spellings", "messy", "raw text"]))
+    if mode == "raw text":
+        return schema, draw(raw_csv_text(names, schema.delimiter))
     if mode == "numbers":
         # Every column takes the bulk conversion.
         row = st.lists(NUMBERS, min_size=width, max_size=width)
@@ -395,7 +461,35 @@ def csv_tables(draw):
             st.sampled_from([[], [""], [" ", ""], ["", "", "", ""]]),
         )
     rows = draw(st.lists(row, max_size=30))
-    return schema, [names] + rows
+    buffer = io.StringIO()
+    csv.writer(buffer, delimiter=schema.delimiter, lineterminator="\n").writerows([names] + rows)
+    return schema, buffer.getvalue()
+
+
+@st.composite
+def raw_csv_text(draw, names, delimiter):
+    """CSV text with fully quoted numbers, blank and whitespace-only lines,
+    ``#`` cells and all-number rows wider than the header; CRLF or LF
+    endings, a UTF-8 BOM or none, a last row with or without its newline;
+    an empty body among them."""
+    width = len(names)
+    numbers = st.lists(NUMBERS, min_size=width, max_size=width)
+    line = st.one_of(
+        numbers.map(delimiter.join),
+        numbers.map(lambda cells: delimiter.join(f'"{cell}"' for cell in cells)),
+        st.lists(NUMBERS, min_size=width + 1, max_size=width + 3).map(delimiter.join),
+        st.lists(
+            st.one_of(NUMBERS, NUMBERS, st.sampled_from(["#", "# 1", "1#"])),
+            min_size=width,
+            max_size=width,
+        ).map(delimiter.join),
+        st.sampled_from(["", " ", "\t", "  "]),
+    )
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = ending.join([delimiter.join(names)] + draw(st.lists(line, max_size=20)))
+    if draw(st.booleans()):
+        text += ending
+    return "\ufeff" + text if draw(st.booleans()) else text
 
 
 @st.composite
@@ -412,9 +506,9 @@ def results_tables(draw):
     return [header] + draw(st.lists(row, max_size=8))
 
 
-def write_csv(path, rows, delimiter=","):
+def write_csv(path, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def outcome(call):
@@ -441,9 +535,9 @@ class TestColumnConvertersMatchPerRowReference:
     @CONVERTER_SETTINGS
     @given(table=csv_tables())
     def test_load_csv(self, tmp_path_factory, table):
-        schema, rows = table
+        schema, text = table
         path = tmp_path_factory.mktemp("load") / "t.csv"
-        write_csv(path, rows, schema.delimiter)
+        path.write_bytes(text.encode("utf-8"))
 
         def columnwise():
             data, stats = load_csv_with_stats(path, schema)
@@ -523,3 +617,21 @@ class TestColumnConvertersMatchPerRowReference:
         write_results(rows, folder / "new.csv", columns=names)
         per_row_write_results(rows, folder / "old.csv", columns=names)
         assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
+
+    def test_write_results_in_blocks(self, tmp_path):
+        # Three write blocks; cells that need quotes only in the last one.
+        n = 2 * _WRITE_BLOCK + 5
+        texts = ["", "a,b", 'say "hi"', "two\nlines", "cr\rhere"]
+        rows = [
+            {
+                "i": i,
+                "x": i / 7,
+                "tag": f"r{i}" if i < 2 * _WRITE_BLOCK else texts[i % len(texts)],
+                "none": None,
+            }
+            for i in range(n)
+        ]
+        write_results(rows, tmp_path / "new.csv")
+        per_row_write_results(rows, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert '"a,b"' in (tmp_path / "new.csv").read_text()

@@ -10,6 +10,7 @@ from influence_market import (
     AgentProfile,
     DataPoint,
     Dataset,
+    DatasetSchema,
     DomainError,
     InfluenceMarketError,
     InvalidValue,
@@ -79,6 +80,8 @@ def world(**fields):
     return WorldModel(Parameters(np.array([1.0]), 0.0), **fields)
 
 
+DELIMITER = "delimiter must be one character other than a quote, CR or LF"
+
 DOMAIN_SITES = {
     "world-nan-noise": (
         lambda: world(noise_std=np.nan),
@@ -131,6 +134,11 @@ DOMAIN_SITES = {
         lambda: best_response_check(generate_world(1), 5, [0.0, np.inf, 1.0], n_trials=1),
         "deviation_grid must be non-empty and finite",
     ),
+    "schema-two-char-delimiter": (lambda: DatasetSchema("t", "y", delimiter=";;"), DELIMITER),
+    "schema-empty-delimiter": (lambda: DatasetSchema("t", "y", delimiter=""), DELIMITER),
+    "schema-quote-delimiter": (lambda: DatasetSchema("t", "y", delimiter='"'), DELIMITER),
+    "schema-cr-delimiter": (lambda: DatasetSchema("t", "y", delimiter="\r"), DELIMITER),
+    "schema-lf-delimiter": (lambda: DatasetSchema("t", "y", delimiter="\n"), DELIMITER),
 }
 
 
