@@ -22,9 +22,9 @@ decoded from one buffer of raw words (``_decode_pcg64``): a uniform is the
 top 53 bits of a word, and a normal on the fast path of NumPy's ziggurat
 (Marsaglia & Tsang 2000) is one word, read through NumPy's own layer
 tables; the rare normals off that path are drawn by the generator itself.
-The tables are read from NumPy on first use, through an MT19937 state with
-chosen outputs (its tempering is invertible; Matsumoto & Nishimura 1998),
-and a self-check against the per-call draws must pass before they are used.
+The tables are read from NumPy on first use, one chosen word at a time
+through an SFC64 generator, and a self-check against the per-call draws
+must pass before they are used.
 Any other generator, or a failed check, is called once per number. Either
 way a stream drawn in one call equals, bit for bit, the same reports drawn
 one at a time, and leaves the generator in the same state.
@@ -42,7 +42,6 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -166,44 +165,31 @@ def _per_call_draws(rng: np.random.Generator, normal: np.ndarray, d: int) -> np.
     return np.fromiter((f() for f in calls), np.float64, len(normal) * (d + 1)).reshape(-1, d + 1)
 
 
-def _untempered(outputs: np.ndarray) -> np.ndarray:
-    """MT19937 state words whose tempered outputs are ``outputs`` (uint32).
+def _one_word_normals(words: np.ndarray) -> np.ndarray:
+    """NumPy's standard normal of each 64-bit word (uint64) taken on its own.
 
-    Each step of MT19937's tempering is an invertible xor-shift (Matsumoto &
-    Nishimura 1998); the steps are undone in reverse order, the two short
-    shifts by iterating them to a fixed point.
+    An SFC64 generator in state (word, 0, 0, 0) outputs that word next, and
+    the state's last word counts its outputs. Raises ValueError if a normal
+    took more than its one word, as one off the ziggurat's fast path does.
     """
-    y = outputs ^ (outputs >> 18)
-    y ^= (y << 15) & 0xEFC60000
-    t = y
-    for _ in range(5):
-        t = y ^ ((t << 7) & 0x9D2C5680)
-    y = t
-    for _ in range(3):
-        t = y ^ (t >> 11)
-    return t
-
-
-def _crafted_generator(words: np.ndarray) -> np.random.Generator:
-    """A Generator whose next 64-bit words are ``words`` (uint64, at most 312).
-
-    NumPy's MT19937 makes a 64-bit word of two outputs, the high half first;
-    a build that takes the low half first fails the decoder's self-check.
-    """
-    outputs = np.column_stack([words >> np.uint64(32), words]).astype(np.uint32).ravel()
-    key = np.zeros(624, np.uint32)
-    key[: len(outputs)] = _untempered(outputs)
-    mt = np.random.MT19937(0)
-    mt.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
-    return np.random.Generator(mt)
+    bg = np.random.SFC64(0)
+    rng, state = np.random.Generator(bg), bg.state
+    normals = np.empty(len(words))
+    for i, word in enumerate(words):
+        state["state"]["state"] = np.array([word, 0, 0, 0], np.uint64)
+        bg.state = state
+        normals[i] = rng.standard_normal()
+        if bg.state["state"]["state"][3] != 1:
+            raise ValueError("a normal took more than its one word")
+    return normals
 
 
 def _ziggurat_tables():
     """Layer widths and fast-test bounds of NumPy's ziggurat.
 
     A normal's word with layer i, sign 0 and magnitude 1 passes the fast test
-    of every layer from 2 on and comes out as exactly layer i's width, so one
-    call on such words reads the widths ``wi``. Layer i's word passes the
+    of every layer from 2 on and comes out as exactly layer i's width, so the
+    normals of such words read the widths ``wi``. Layer i's word passes the
     fast test when its magnitude lies under 2^52 wi[i-1] / wi[i]; ``ki``
     keeps 4 below that bound, so rounding in the ratio cannot admit a word
     that NumPy sends to its slow path. Layers 0-2 get no bound here and
@@ -213,7 +199,7 @@ def _ziggurat_tables():
     """
     layers = np.arange(2, 256, dtype=np.uint64)
     wi = np.zeros(256)
-    wi[2:] = _crafted_generator(layers | np.uint64(1 << 9)).standard_normal(254)
+    wi[2:] = _one_word_normals(layers | np.uint64(1 << 9))
     ki = np.zeros(256, np.uint64)
     ki[3:] = np.floor(2.0**52 * wi[2:-1] / wi[3:]) - 4
     return np.concatenate([wi, -wi]), ki
@@ -236,7 +222,7 @@ def _fast_path_tables():
         layers = np.arange(3, 256, dtype=np.uint64)
         signed_layers = layers | (layers % 2) << 8  # odd layers negative
         below = ki[3:] - 1
-        edge = _crafted_generator(signed_layers | below << _NINE).standard_normal(253)
+        edge = _one_word_normals(signed_layers | below << _NINE)
     except (KeyError, TypeError, ValueError):
         return False
     if not np.array_equal(edge, below * widths[signed_layers]):
@@ -367,22 +353,22 @@ def _draw_truthful(world: WorldModel, rng: np.random.Generator, X, y):
     _draw_reports(world, rng, X, y, np.ones(len(X), dtype=bool))
 
 
-def _one_report(truthful: bool, world: WorldModel, seed, agent_id, arrival_index) -> DataPoint:
+def _one_report(truthful: bool, world: WorldModel, seed, agent_id) -> DataPoint:
     X, y = np.empty((1, world.dimension)), np.empty(1)
     _draw_reports(world, np.random.default_rng(seed), X, y, np.array([truthful]))
-    return DataPoint(X[0], y[0], agent_id=agent_id, arrival_index=arrival_index)
+    return DataPoint(X[0], y[0], agent_id=agent_id)
 
 
-def truthful_report(world: WorldModel, seed, agent_id=None, arrival_index=0) -> DataPoint:
+def truthful_report(world: WorldModel, seed, agent_id=None) -> DataPoint:
     """Observe the world: x uniform in its bounds, y on the true line plus
     Gaussian noise."""
-    return _one_report(True, world, seed, agent_id, arrival_index)
+    return _one_report(True, world, seed, agent_id)
 
 
-def heuristic_report(world: WorldModel, seed, agent_id=None, arrival_index=0) -> DataPoint:
+def heuristic_report(world: WorldModel, seed, agent_id=None) -> DataPoint:
     """Uninformed report: the truthful feature marginal, but y uniform in the
     heuristic bounds and independent of x."""
-    return _one_report(False, world, seed, agent_id, arrival_index)
+    return _one_report(False, world, seed, agent_id)
 
 
 def build_population(n_agents: int, p_truthful: float, effort: float = 0.0) -> list:
@@ -442,7 +428,6 @@ def simulate_population(
     test_mode: str = "independent",
     seed: int = 0,
     n_test: int = 200,
-    profiles: Optional[list] = None,
 ) -> SimulationResult:
     """Run a truthful/heuristic population through the mechanism.
 
@@ -451,10 +436,14 @@ def simulate_population(
     of the reports as the test set (those reports are not trained on or
     paid). Deterministic under ``seed``.
     """
+    profiles = build_population(n_agents, p_truthful, effort=mechanism_config.effort_cost)
+    return _simulate(profiles, world, mechanism_config, test_mode, seed, n_test)
+
+
+def _simulate(profiles, world, mechanism_config, test_mode, seed, n_test) -> SimulationResult:
+    """``simulate_population`` for a given population."""
     if test_mode not in ("independent", "from-reports"):
         raise DomainError(f"unknown test_mode {test_mode!r}")
-    if profiles is None:
-        profiles = build_population(n_agents, p_truthful, effort=mechanism_config.effort_cost)
     stream = report_stream(profiles, world, seed)
     if test_mode == "independent":
         test = independent_test_set(world, n_test, seed + 1)
@@ -509,16 +498,7 @@ def opt_out_followup(
         updated.append(replace(p, opt_in=opted))
     if not any(p.opt_in for p in updated):
         raise DomainError("every agent opted out; no follow-up round to run")
-    return simulate_population(
-        n_agents=len(updated),
-        p_truthful=0.0,  # ignored when profiles are given
-        world=world,
-        mechanism_config=mechanism_config,
-        test_mode=result.test_mode,
-        seed=seed,
-        n_test=n_test,
-        profiles=updated,
-    )
+    return _simulate(updated, world, mechanism_config, result.test_mode, seed, n_test)
 
 
 class _ProbeTable(Sequence):

@@ -58,7 +58,6 @@ def _add_common(parser):
     )
     parser.add_argument("--data-file", type=Path, default=None, help="CSV for builtin schemas")
     parser.add_argument("--schema", type=Path, default=None, help="key-value schema file")
-    parser.add_argument("--ridge", type=float, default=0.0)
 
 
 def _check_dataset_flags(args) -> None:
@@ -338,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("approx-error", help="error of influence approximations vs exact")
     _add_common(p)
+    p.add_argument("--ridge", type=float, default=0.0)
     p.add_argument("--n-train", type=int, default=1000)
     p.add_argument("--n-test", type=int, default=200)
     p.add_argument("--trials", type=int, default=1)
@@ -345,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch-ratio", help="summed influence / risk change vs batch size")
     _add_common(p)
+    p.add_argument("--ridge", type=float, default=0.0)
     p.add_argument("--init-count", type=int, default=500)
     p.add_argument("--n", type=int, default=1500)
     p.add_argument("--batch-sizes", default="1,5,10,25,50,100,300")
@@ -354,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("influence-time", help="mean influence per batch over a run")
     _add_common(p)
+    p.add_argument("--ridge", type=float, default=0.0)
     p.add_argument("--init-count", type=int, default=500)
     p.add_argument("--n-batches", type=int, default=30)
     p.add_argument("--batch-size", type=int, default=100)
@@ -370,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="population simulation and best-response probe")
     _add_common(p)
+    p.add_argument("--ridge", type=float, default=0.0)
     p.add_argument("--n-agents", type=int, default=600)
     p.add_argument("--p-truthful", type=float, default=0.5)
     p.add_argument("--test-mode", choices=("independent", "from-reports"), default="independent")

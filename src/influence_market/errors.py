@@ -7,8 +7,8 @@ class InfluenceMarketError(Exception):
 
 class InvalidValue(InfluenceMarketError, ValueError):
     """An argument has a value the operation cannot accept: a non-finite
-    number, a negative count or coefficient, or a repeated arrival index.
-    Also a ValueError, so ``except ValueError`` catches it."""
+    number or a negative count or coefficient. Also a ValueError, so
+    ``except ValueError`` catches it."""
 
 
 class DimensionMismatch(InfluenceMarketError):

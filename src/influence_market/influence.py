@@ -185,7 +185,6 @@ def exact_influences(
     test: Dataset,
     model: Optional[FittedModel] = None,
     indices: Optional[Sequence[int]] = None,
-    ridge: float = 0.0,
 ) -> np.ndarray:
     """Exact influence of every training point, or of the rows ``indices``,
     vectorized: R(test, params fitted without j) - R(test, params fitted on
@@ -195,11 +194,12 @@ def exact_influences(
     The downdate is scored through the closed-form risk change, which for
     squared loss equals the literal refit-and-difference value up to
     rounding; tests pin the two together to 1e-9. One point's price is
-    ``exact_influences(train, test, indices=[j])[0]``.
+    ``exact_influences(train, test, indices=[j])[0]``. ``model`` defaults to
+    ``fit(train)``; a ridge fit is passed as ``model=fit(train, ridge)``.
     """
     idx = _checked_indices(train, indices)
     if model is None:
-        model = fit(train, ridge=ridge)
+        model = fit(train)
     return _removal_prices(model, train, test, "exact", idx)
 
 
@@ -279,7 +279,7 @@ def _time_second_order(train: Dataset, test: Dataset) -> float:
     """
     start = time.perf_counter()
     model = fit(train)
-    n = model.n_train
+    n = len(train)
     theta = model.params.as_vector()
     train_aug = train.augmented()
     test_aug = test.augmented()

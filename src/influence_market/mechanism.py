@@ -35,7 +35,6 @@ from .errors import (
     EmptyDataset,
     EmptyStream,
     InsufficientInitialization,
-    InvalidValue,
 )
 from .influence import _prices, _second_moment, _test_terms
 from .mixture import MixtureParams, correction_exclusive, correction_inclusive, total_risk_change
@@ -211,9 +210,7 @@ def initialize_model(
     rng = np.random.default_rng(seed)
     X = rng.uniform(x_bounds[0], x_bounds[1], size=(init_count, dimension))
     y = rng.uniform(y_bounds[0], y_bounds[1], size=init_count)
-    ids = ["__init__"] * init_count
-    arrival = -np.arange(1, init_count + 1, dtype=np.int64)  # before any report
-    return Dataset(X, y, ids, arrival)
+    return Dataset(X, y, ["__init__"] * init_count)
 
 
 def _add_compensated(total: np.ndarray, carry: np.ndarray, addend: np.ndarray):
@@ -236,15 +233,16 @@ def run_mechanism(
 ) -> PaymentLedger:
     """Run the sequential mechanism over a report stream.
 
-    The stream is processed in arrival order in batches of
-    ``config.batch_size`` (the final batch may be smaller and is scored with
-    its actual size). Inclusive mode scores each batch point as-if-removed
-    from the model fitted on accumulated + batch; exclusive mode scores it
-    as-if-added to the model fitted on accumulated only, which is the
-    previous batch's post-batch model. With closed-form normalization each
-    raw score is divided by the correction ratio for this run's counts (the
-    initialization's actual size and the stream length) and the batch's
-    actual size. Deterministic given (stream, config, seed).
+    The stream's row order is its arrival order. Rows are processed in
+    batches of ``config.batch_size`` (the final batch may be smaller and is
+    scored with its actual size). Inclusive mode scores each batch point
+    as-if-removed from the model fitted on accumulated + batch; exclusive
+    mode scores it as-if-added to the model fitted on accumulated only,
+    which is the previous batch's post-batch model. With closed-form
+    normalization each raw score is divided by the correction ratio for
+    this run's counts (the initialization's actual size and the stream
+    length) and the batch's actual size. Deterministic given (stream,
+    config, seed).
 
     Parameters
     ----------
@@ -257,7 +255,8 @@ def run_mechanism(
         Seeds the uniform initialization (ignored when ``init`` is given).
     init : Dataset, optional
         Pre-built initialization set; defaults to uniform sampling per config.
-        Its arrival indices must be disjoint from the stream's.
+        It is taken as a separate set of points from the stream; this is not
+        checked.
     """
     if len(stream) == 0:
         raise EmptyStream("the report stream is empty")
@@ -276,8 +275,6 @@ def run_mechanism(
             f"init, stream and test dimensions differ: "
             f"{init.dimension}, {stream.dimension}, {test.dimension}"
         )
-    if np.intersect1d(init.arrival_index, stream.arrival_index).size:
-        raise InvalidValue("init and stream share arrival_index values")
     model = fit(init, ridge=config.ridge)
     theta, gram_inverse = model.params.as_vector(), model.gram_inverse
     # Sufficient statistics as one joint Gram matrix of [x~, y]: G is its

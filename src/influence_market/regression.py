@@ -52,14 +52,11 @@ class DataPoint:
         Scalar target; must be finite.
     agent_id : hashable, optional
         Identifier of the contributing agent.
-    arrival_index : int
-        Position in arrival order; unique within a dataset.
     """
 
     x: np.ndarray
     y: float
     agent_id: object = None
-    arrival_index: int = 0
 
     def __post_init__(self):
         x = np.atleast_1d(np.asarray(self.x, dtype=np.float64))
@@ -69,8 +66,6 @@ class DataPoint:
             raise InvalidValue("feature vector contains non-finite values")
         if not np.isfinite(self.y):
             raise InvalidValue("target is not finite")
-        if self.arrival_index < 0:
-            raise InvalidValue("arrival_index must be non-negative")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", float(self.y))
 
@@ -81,6 +76,8 @@ class DataPoint:
 
 class Dataset:
     """Ordered collection of points backed by contiguous arrays.
+
+    Row order is arrival order: a stream's rows are paid in stored order.
 
     Instances are immutable: every derived collection (subset, extension,
     leave-one-out) is a new object, so datasets are safe to share across
@@ -94,13 +91,11 @@ class Dataset:
         Targets.
     agent_ids : sequence of length n, optional
         Contributor identifiers (``None`` entries allowed).
-    arrival_index : ndarray of shape (n,), optional
-        Arrival positions; defaults to 0..n-1. Must be unique.
     """
 
-    __slots__ = ("X", "y", "agent_ids", "arrival_index", "_augmented")
+    __slots__ = ("X", "y", "agent_ids", "_augmented")
 
-    def __init__(self, X, y, agent_ids=None, arrival_index=None):
+    def __init__(self, X, y, agent_ids=None):
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))
         if X.ndim != 2:
@@ -120,21 +115,11 @@ class Dataset:
             agent_ids = tuple(agent_ids)
             if len(agent_ids) != n:
                 raise DimensionMismatch("agent_ids length does not match point count")
-        if arrival_index is None:
-            arrival_index = np.arange(n, dtype=np.int64)
-        else:
-            arrival_index = np.asarray(arrival_index, dtype=np.int64)
-            if arrival_index.shape != (n,):
-                raise DimensionMismatch("arrival_index length does not match point count")
-            if n and len(np.unique(arrival_index)) != n:
-                raise InvalidValue("arrival_index values must be unique within a dataset")
         X.setflags(write=False)
         y.setflags(write=False)
-        arrival_index.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "agent_ids", agent_ids)
-        object.__setattr__(self, "arrival_index", arrival_index)
         object.__setattr__(self, "_augmented", None)
 
     def __setattr__(self, name, value):
@@ -153,9 +138,7 @@ class Dataset:
                 )
         X = np.stack([p.x for p in points])
         y = np.array([p.y for p in points])
-        ids = [p.agent_id for p in points]
-        arrival = np.array([p.arrival_index for p in points], dtype=np.int64)
-        return cls(X, y, ids, arrival)
+        return cls(X, y, [p.agent_id for p in points])
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -178,7 +161,7 @@ class Dataset:
             bad = indices[(indices < 0) | (indices >= len(self))][0]
             raise IndexOutOfRange(f"index {bad} outside dataset of size {len(self)}")
         ids = [self.agent_ids[i] for i in indices]
-        return Dataset(self.X[indices], self.y[indices], ids, self.arrival_index[indices])
+        return Dataset(self.X[indices], self.y[indices], ids)
 
     def without_index(self, j: int) -> "Dataset":
         if not 0 <= j < len(self):
@@ -197,7 +180,6 @@ class Dataset:
             np.vstack([self.X, other.X]),
             np.concatenate([self.y, other.y]),
             list(self.agent_ids) + list(other.agent_ids),
-            np.concatenate([self.arrival_index, other.arrival_index]),
         )
 
 
@@ -244,16 +226,10 @@ class FittedModel:
     gram_inverse : ndarray of shape (d+1, d+1)
         Inverse of the augmented Gram matrix X~.T @ X~ + ridge * I, used for
         O(d^2) rank-one updates and downdates.
-    n_train : int
-        Number of training points.
-    ridge : float
-        Ridge coefficient used by the fit (0 for plain least squares).
     """
 
     params: Parameters
     gram_inverse: np.ndarray
-    n_train: int
-    ridge: float = 0.0
 
     def __post_init__(self):
         arr = np.asarray(self.gram_inverse, dtype=np.float64)
@@ -305,12 +281,7 @@ def fit(data: Dataset, ridge: float = 0.0) -> FittedModel:
         )
     aug = data.augmented()
     theta, gram_inverse = _solve_normal_equations(aug.T @ aug, aug.T @ data.y, n, ridge)
-    return FittedModel(
-        params=Parameters.from_vector(theta),
-        gram_inverse=gram_inverse,
-        n_train=n,
-        ridge=float(ridge),
-    )
+    return FittedModel(Parameters.from_vector(theta), gram_inverse)
 
 
 def _solve_normal_equations(gram: np.ndarray, moment: np.ndarray, n: int, ridge: float):

@@ -194,8 +194,7 @@ def per_point_reports(world, rng, n):
 def per_point_stream(profiles, world, rng):
     """Reference for ``report_stream``: the same shuffle of the opted-in
     agents, then one ``per_call_report`` per arrival; perturbed agents add
-    their deviation to the observed target. Returns X, y, agent_ids and
-    arrival indices."""
+    their deviation to the observed target. Returns X, y and agent_ids."""
     active = [p for p in profiles if p.opt_in]
     order = rng.permutation(len(active))
     X, y, ids = [], [], []
@@ -208,7 +207,7 @@ def per_point_stream(profiles, world, rng):
         y.append(target)
         ids.append(profile.agent_id)
     X = np.array(X).reshape(len(order), world.dimension)
-    return X, np.array(y, dtype=float), tuple(ids), np.arange(len(order))
+    return X, np.array(y, dtype=float), tuple(ids)
 
 
 def refit_best_response(world, n_others, grid, seed, n_trials, n_test):

@@ -93,7 +93,7 @@ class TestTruthfulReport:
         rng = np.random.default_rng(9)
         from influence_market import Dataset
 
-        points = [truthful_report(world, rng, arrival_index=i) for i in range(10_000)]
+        points = [truthful_report(world, rng) for _ in range(10_000)]
         data = Dataset.from_points(points)
         model = fit(data)
         # standard errors ~ noise / sqrt(n * var_x); 3-sigma acceptance
@@ -109,7 +109,7 @@ class TestTruthfulReport:
         errs = {}
         for n in (2500, 10_000):
             rng = np.random.default_rng(10)
-            points = [truthful_report(world, rng, arrival_index=i) for i in range(n)]
+            points = [truthful_report(world, rng) for _ in range(n)]
             model = fit(Dataset.from_points(points))
             truth = np.array([0.7, -0.2])
             errs[n] = np.linalg.norm(model.params.as_vector() - truth)

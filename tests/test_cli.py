@@ -250,6 +250,14 @@ class TestBench:
         assert len(rows) == 4
         assert {r["method"] for r in rows} == {"exact-refit", "second-order"}
 
+    def test_ridge_is_not_an_option(self, tmp_path, capsys):
+        # bench times plain least squares; a --ridge it would ignore is refused.
+        with pytest.raises(SystemExit) as info:
+            run("bench", "--ridge", 0.5, "--n-train", 60, "--dims", "1", "--out-dir", tmp_path)
+        assert info.value.code == 2
+        assert "--ridge" in capsys.readouterr().err
+        assert not (tmp_path / "run_manifest.txt").exists()
+
 
 class TestSimulate:
     def test_end_to_end_outputs(self, tmp_path):

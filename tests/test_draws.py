@@ -107,7 +107,7 @@ def test_mixed_report_stream_matches_per_call_reports(seed, d, n, noise_std, pri
     world = world_of(d, noise_std, seed)
     rng, reference = generator_pair(seed, prior)
     stream = report_stream(profiles, world, rng)
-    X, y, ids, _ = per_point_stream(profiles, world, reference)
+    X, y, ids = per_point_stream(profiles, world, reference)
     assert np.array_equal(stream.X, X) and np.array_equal(stream.y, y)
     assert stream.agent_ids == ids
     assert_same_generator(rng, reference)

@@ -21,7 +21,6 @@ from influence_market import (
     build_population,
     fit,
     generate_world,
-    run_mechanism,
 )
 
 
@@ -30,29 +29,14 @@ def small_data(n=8, seed=0):
     return Dataset(rng.normal(size=(n, 1)), rng.normal(size=n))
 
 
-def overlapping_init_run():
-    stream = small_data(6)
-    init = Dataset(np.array([[0.1], [0.5], [-0.3]]), np.array([1.0, 2.0, 0.5]),
-                   arrival_index=[-1, 5, -2])
-    run_mechanism(stream, small_data(5, seed=1), MechanismConfig(), init=init)
-
-
 SITES = {
     "point-nonfinite-x": (lambda: DataPoint(np.array([np.nan]), 0.0), "feature vector"),
     "point-nonfinite-y": (lambda: DataPoint(np.array([1.0]), np.inf), "target is not finite"),
-    "point-negative-arrival": (
-        lambda: DataPoint(np.array([1.0]), 0.0, arrival_index=-1),
-        "arrival_index must be non-negative",
-    ),
     "dataset-nonfinite-X": (
         lambda: Dataset(np.array([[1.0], [np.inf]]), np.zeros(2)),
         "feature matrix",
     ),
     "dataset-nonfinite-y": (lambda: Dataset(np.ones((2, 1)), np.array([0.0, np.nan])), "targets"),
-    "dataset-duplicate-arrival": (
-        lambda: Dataset(np.ones((2, 1)), np.zeros(2), arrival_index=[3, 3]),
-        "unique",
-    ),
     "parameters-nonfinite": (lambda: Parameters(np.array([1.0]), np.nan), "non-finite"),
     "fit-negative-ridge": (lambda: fit(small_data(), ridge=-1.0), "ridge must be non-negative"),
     "fit-nan-ridge": (
@@ -63,7 +47,6 @@ SITES = {
         lambda: fit(small_data(), ridge=np.inf),
         "ridge must be non-negative and finite",
     ),
-    "mechanism-arrival-overlap": (overlapping_init_run, "share arrival_index"),
 }
 
 

@@ -17,10 +17,12 @@ from influence_market import (
     budget_estimate,
     build_population,
     correction_inclusive,
+    fit,
     generate_world,
     independent_test_set,
     initialize_model,
     report_stream,
+    risk,
     run_mechanism,
     total_risk_change,
 )
@@ -274,12 +276,17 @@ class TestGuards:
         with pytest.raises(EmptyDataset, match="test set is empty"):
             run_mechanism(stream, empty, config_for(world), seed=0)
 
-    def test_init_sharing_arrival_indices_with_stream(self):
+    @pytest.mark.parametrize("mode", ["inclusive", "exclusive"])
+    def test_init_and_stream_may_both_keep_default_rows(self, mode):
+        # Two sets built apart, each with rows 0..n-1, are separate points.
         world, stream, test = world_and_data(31)
-        init = Dataset(np.array([[0.1], [0.5], [-0.3]]), np.array([1.0, 2.0, 0.5]),
-                       arrival_index=[-1, 5, -2])
-        with pytest.raises(ValueError, match="arrival_index"):
-            run_mechanism(stream, test, config_for(world), init=init)
+        rng = np.random.default_rng(31)
+        init = Dataset(rng.uniform(-1.0, 1.0, size=(20, 1)), rng.uniform(-3.0, 3.0, size=20))
+        ledger = run_mechanism(stream, test, config_for(world, mode=mode), init=init)
+        assert ledger.risk_trace[0] == pytest.approx(risk(test, fit(init).params), rel=1e-14)
+        assert len(ledger.entries) == len(stream)
+        drop = ledger.initial_risk - ledger.final_risk
+        assert ledger.sum_raw == pytest.approx(drop, rel=1e-12)
 
     def test_dimension_mismatch(self):
         world, stream, test = world_and_data(32)
@@ -297,7 +304,7 @@ class TestGuards:
     def test_overflowing_reports_raise(self, mode):
         X = np.array([[1.0], [2.0], [3.5], [4.0]])
         y = np.array([1.0, 2.0, 3.0, 5.0])
-        init = Dataset(X[:3] / 10, y[:3], arrival_index=[-1, -2, -3])
+        init = Dataset(X[:3] / 10, y[:3])
         stream, test = Dataset(X * 1e160, y), Dataset(X, y)
         with pytest.raises(SingularDesign, match="optimality certificate"):
             run_mechanism(stream, test, MechanismConfig(mode=mode), init=init)

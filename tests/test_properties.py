@@ -30,7 +30,7 @@ def mechanism_case(seed, d, b, n_init, n_batches, remainder):
     n_stream = (n_batches * b + remainder) if b > 1 else n_batches
     X_init = rng.uniform(-1.0, 1.0, size=(n_init, d))
     y_init = rng.uniform(-3.0, 3.0, size=n_init)
-    init = Dataset(X_init, y_init, ["__init__"] * n_init, -np.arange(1, n_init + 1))
+    init = Dataset(X_init, y_init, ["__init__"] * n_init)
     X, y = random_regression(rng, n_stream, d, noise=0.5)
     Xt, yt = random_regression(rng, 15, d, noise=0.5)
     return init, Dataset(X, y, list(range(n_stream))), Dataset(Xt, yt)

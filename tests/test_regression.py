@@ -23,8 +23,8 @@ from helpers import augment, lstsq_fit, random_regression
 class TestDataset:
     def test_from_points_round_trip(self):
         points = [
-            DataPoint(np.array([1.0, 2.0]), 3.0, agent_id="a", arrival_index=0),
-            DataPoint(np.array([4.0, 5.0]), 6.0, agent_id="b", arrival_index=1),
+            DataPoint(np.array([1.0, 2.0]), 3.0, agent_id="a"),
+            DataPoint(np.array([4.0, 5.0]), 6.0, agent_id="b"),
         ]
         data = Dataset.from_points(points)
         assert len(data) == 2
@@ -32,17 +32,12 @@ class TestDataset:
         assert data.agent_ids == ("a", "b")
         assert data.y[1] == 6.0
         np.testing.assert_array_equal(data.X[0], [1.0, 2.0])
-        np.testing.assert_array_equal(data.arrival_index, [0, 1])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Dataset(np.array([[1.0], [np.nan]]), np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             DataPoint(np.array([1.0]), np.inf)
-
-    def test_rejects_duplicate_arrival(self):
-        with pytest.raises(ValueError):
-            Dataset(np.eye(2), np.zeros(2), arrival_index=np.array([0, 0]))
 
     def test_immutable(self):
         data = Dataset(np.eye(2), np.zeros(2))

@@ -30,11 +30,10 @@ def mixed_population():
 
 
 def assert_same_stream(data, reference, rng, ref_rng):
-    X, y, ids, arrival = reference
+    X, y, ids = reference
     assert np.array_equal(data.X, X)
     assert np.array_equal(data.y, y)
     assert data.agent_ids == ids
-    assert np.array_equal(data.arrival_index, arrival)
     assert rng.random() == ref_rng.random()
 
 
@@ -56,7 +55,7 @@ def test_independent_test_set_matches_per_point_reports(d, noise_std):
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
     test = independent_test_set(world, 57, rng)
     X, y = per_point_reports(world, ref_rng, 57)
-    assert_same_stream(test, (X, y, (None,) * 57, np.arange(57)), rng, ref_rng)
+    assert_same_stream(test, (X, y, (None,) * 57), rng, ref_rng)
 
 
 
