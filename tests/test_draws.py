@@ -146,6 +146,38 @@ def test_pcg64_draws_are_decoded_in_bulk():
     assert agents._fast_path_tables() is agents._fast_path_tables()
 
 
+def pcg64_normals_by_words_taken(seed, n):
+    """n standard normals of a PCG64 generator, each with the first raw word
+    it took, split by whether it took that word alone."""
+    bg = np.random.PCG64(seed)
+    rng, probe = np.random.Generator(bg), np.random.PCG64()
+    split = {True: ([], []), False: ([], [])}
+    for _ in range(n):
+        probe.state = bg.state
+        word = probe.random_raw()
+        z = rng.standard_normal()
+        words, normals = split[probe.state == bg.state]
+        words.append(word)
+        normals.append(z)
+    return {k: (np.array(w, np.uint64), np.array(z)) for k, (w, z) in split.items()}
+
+
+def test_one_word_normals_equal_the_pcg64_normals_of_the_same_words():
+    by_words = pcg64_normals_by_words_taken(12, 3000)
+    words, normals = by_words[True]
+    assert len(words) > 0.95 * 3000
+    assert np.array_equal(agents._one_word_normals(words), normals)
+
+
+def test_one_word_normals_refuse_a_word_off_the_fast_path():
+    # Without the output count these words would read as a wrong normal.
+    words, _ = pcg64_normals_by_words_taken(12, 3000)[False]
+    assert len(words) > 0
+    for word in words[:5]:
+        with pytest.raises(ValueError, match="more than its one word"):
+            agents._one_word_normals(np.array([word], np.uint64))
+
+
 def admit_every_word(widths, ki):
     ki = ki.copy()
     ki[3:] = 2**52

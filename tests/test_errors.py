@@ -22,6 +22,7 @@ from influence_market import (
     fit,
     generate_world,
 )
+from influence_market.cli import _number_list
 
 
 def small_data(n=8, seed=0):
@@ -46,6 +47,10 @@ SITES = {
     "fit-infinite-ridge": (
         lambda: fit(small_data(), ridge=np.inf),
         "ridge must be non-negative and finite",
+    ),
+    "cli-non-numeric-list": (
+        lambda: _number_list("0.1,x", float, "--deviation-grid"),
+        "--deviation-grid must be a comma-separated list of numbers",
     ),
 }
 
